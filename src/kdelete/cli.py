@@ -10,7 +10,8 @@ reason).  `gen` prints an edge list, `oracle` prints a bare integer,
 `verify` prints one JSON line per check, and `bench` prints CSV.
 
 Exit codes: 0 ok, 2 usage error, 3 capability/budget/precondition error,
-4 violated guarantee (verify subcommand only).
+4 violated guarantee (a failed verify check, or an InvariantViolation raised
+by any subcommand).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .constructions import (
     spectral_lower_bound,
 )
 from .cover import exact_u, select_cover
-from .errors import CapabilityError, PreconditionError
+from .errors import CapabilityError, InvariantViolation, PreconditionError
 from .graphs import Graph, format_edge_list, parse_edge_list
 from .maxcut import local_search_cut, max_k_cut_exact, maxcut_odd_cycle_free
 from .oddgirth import (
@@ -382,6 +383,9 @@ def main(argv=None) -> int:
     except (CapabilityError, PreconditionError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
+    except InvariantViolation as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 4
     finally:
         print(f"wall_time_seconds={time.perf_counter() - t0:.3f}",
               file=sys.stderr)

@@ -20,6 +20,12 @@ on every run, not merely on average.  All expectation comparisons are done in
 exact integer arithmetic (scaled by n^j), so the chain of inequalities never
 passes through a float.
 
+The expectation never needs a weight per vertex or per edge.  A vertex's
+term d(n - d)^j depends only on its degree, and an edge's term (n - u)^j
+only on its union size u = |N(x) | N(y)|, so select_cover_expectation counts
+vertices and edges per degree and per union size with numpy (int64 counts)
+and multiplies the counts by one exact Python-int power per distinct value.
+
 even_parts refines a t-center selection into exactly 2t sets of size at most
 n/t without losing covered edges; the recursive partitioners feed those
 chunks to their per-piece subproblems.
@@ -27,10 +33,13 @@ chunks to their per-piece subproblems.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from ._rng import SplitMix64, derive_seed
 from .bounds import E_LOWER
@@ -38,6 +47,9 @@ from .errors import CapabilityError, InvariantViolation
 from .graphs import Graph, bits_list, edges_inside, iter_bits
 
 _EXACT_U_LIMIT = 10**7
+# Adjacency entries per block in _common_neighbor_counts: bounds its scratch
+# memory at a few hundred kilobytes whatever the graph.
+_BLOCK = 1 << 16
 
 STRATEGIES = ("greedy", "random", "expectation", "best")
 
@@ -142,6 +154,7 @@ def select_cover_greedy(G: Graph, k: int) -> CoverSelection:
     union = 0
     centers = []
     for _ in range(k):
+        into_union = [(a & union).bit_count() for a in G.adj]
         best_v = 0
         best_gain = -1
         for v in range(G.n):
@@ -149,7 +162,7 @@ def select_cover_greedy(G: Graph, k: int) -> CoverSelection:
             to_union = 0
             inside = 0
             for w in iter_bits(fresh):
-                to_union += (G.adj[w] & union).bit_count()
+                to_union += into_union[w]
                 inside += (G.adj[w] & fresh).bit_count()
             gain = to_union + inside // 2
             if gain > best_gain:
@@ -160,7 +173,9 @@ def select_cover_greedy(G: Graph, k: int) -> CoverSelection:
     return selection_from_centers(G, centers)
 
 
-def _scaled_expectation(G: Graph, covered: int, j: int, pair_pow) -> int:
+def _scaled_expectation(
+    n: int, degree_counts: dict[int, int], union_counts: dict[int, int], j: int
+) -> int:
     """E[uncovered edges after j more uniform picks] * n**j, exactly.
 
     An endpoint x stays uncovered with probability ((n - d(x)) / n)**j if it
@@ -170,18 +185,39 @@ def _scaled_expectation(G: Graph, covered: int, j: int, pair_pow) -> int:
         sum_{x uncovered} d(x) * (n - d(x))**j
         - sum_{edges with both endpoints uncovered} (n - u_e)**j
 
-    with u_e = |N(x) | N(y)|.  pair_pow maps an edge index to (n - u_e)**j.
+    with u_e = |N(x) | N(y)|.  A vertex enters only through its degree and an
+    edge only through u_e, so the sums run over degree_counts (degree ->
+    uncovered vertices of that degree) and union_counts (u_e -> edges with
+    both endpoints uncovered), one power per distinct value.
     """
-    n = G.n
-    total = 0
-    for x in range(n):
-        if not (covered >> x & 1):
-            d = G.degree(x)
-            total += d * (n - d) ** j
-    for idx, (x, y) in enumerate(G.edges):
-        if not (covered >> x & 1) and not (covered >> y & 1):
-            total -= pair_pow(idx)
-    return total
+    return sum(c * d * (n - d) ** j for d, c in degree_counts.items()) - sum(
+        c * (n - u) ** j for u, c in union_counts.items()
+    )
+
+
+def _common_neighbor_counts(
+    packed: np.ndarray, xs: np.ndarray, ys: np.ndarray, cls: np.ndarray, classes: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yields (c, counts) for each class c that has edges, where counts[v] is
+    the number of edges (xs[i], ys[i]) with cls[i] = c and v adjacent to both
+    ends.  packed holds the adjacency rows as little-endian bit rows.  Edges
+    go through in blocks of at most _BLOCK adjacency entries, so no
+    (edges x n) array is ever built."""
+    n = len(packed)
+    order = np.argsort(cls, kind="stable")
+    xs, ys = xs[order], ys[order]
+    bounds = np.searchsorted(cls[order], np.arange(classes + 1)).tolist()
+    block = max(1, _BLOCK // n)
+    for c in range(classes):
+        if bounds[c] == bounds[c + 1]:
+            continue
+        counts = np.zeros(n, dtype=np.int64)
+        for lo in range(bounds[c], bounds[c + 1], block):
+            hi = min(lo + block, bounds[c + 1])
+            both = packed[xs[lo:hi]] & packed[ys[lo:hi]]
+            bits = np.unpackbits(both, axis=1, count=n, bitorder="little")
+            counts += bits.sum(axis=0, dtype=np.int64)
+        yield c, counts
 
 
 def select_cover_expectation(G: Graph, k: int) -> CoverSelection:
@@ -192,61 +228,99 @@ def select_cover_expectation(G: Graph, k: int) -> CoverSelection:
     average over all n candidate centers equals the current expectation, so
     such a center always exists; at j = 0 the expectation *is* the uncovered
     count, which is therefore bounded by the initial expectation n^2/(e*k).
+
+    An edge is active while both endpoints are uncovered; its weight
+    (n - u_e)**j depends only on its union-size class u_e.  Each step counts,
+    with numpy, the active edges per class at every vertex and inside every
+    neighborhood, then combines those int64 counts with one exact power per
+    class and per distinct degree.  The centers are exactly those of the
+    per-edge computation, ties included.
+
+    Per step: O(m log m) numpy work on the edge arrays, and O(n + m) big-int
+    multiply-adds.  When some edge has a common neighbor, counting the active
+    edges inside each N(v) adds O(m n) bit operations on a packed n x n
+    adjacency of n^2/8 bytes, taken in blocks of _BLOCK entries, and one
+    big-int multiply-add per (class, v) with a nonzero count.  On a
+    triangle-free graph nothing lies inside a neighborhood, and that part is
+    skipped.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if G.n == 0:
         raise ValueError("cannot select centers in an empty graph")
     n = G.n
-    union_size = [0] * G.m
-    for idx, (x, y) in enumerate(G.edges):
-        union_size[idx] = (G.adj[x] | G.adj[y]).bit_count()
-    degs = [G.degree(v) for v in range(n)]
+    degrees = [G.degree(v) for v in range(n)]
+    degree = np.array(degrees, dtype=np.int64)
+    ends = np.array(G.edges, dtype=np.intp).reshape(-1, 2)
+    ex, ey = ends[:, 0], ends[:, 1]
+    union_size = np.array(
+        [(G.adj[x] | G.adj[y]).bit_count() for x, y in G.edges], dtype=np.int64
+    )
+    sizes, edge_class = np.unique(union_size, return_inverse=True)
+    sizes = sizes.tolist()
+    classes = len(sizes)
+    # N(v) as index lists, from the edge arrays rather than bits_list, which
+    # walks the bits one Python step at a time.
+    by_source = np.argsort(np.concatenate((ex, ey)), kind="stable")
+    neighbors = [
+        nb.tolist()
+        for nb in np.split(np.concatenate((ey, ex))[by_source], np.cumsum(degree)[:-1])
+    ]
+    # An edge lies inside N(v) only when v is a common neighbor of its ends.
+    has_triangle = bool(np.any(degree[ex] + degree[ey] > union_size))
+    if has_triangle:
+        width = (n + 7) // 8
+        packed = np.frombuffer(
+            b"".join(a.to_bytes(width, "little") for a in G.adj), dtype=np.uint8
+        ).reshape(n, width)
 
-    covered = 0
+    uncovered = np.ones(n, dtype=bool)
     centers: list[int] = []
     for step in range(k):
         j = k - step - 1
         # Weights at the exponent for *after* this pick.
-        w_vertex = [degs[x] * (n - degs[x]) ** j for x in range(n)]
-        w_edge = [(n - u) ** j for u in union_size]
-
-        # Active edges: both endpoints currently uncovered.
-        s1 = 0
-        for x in range(n):
-            if not (covered >> x & 1):
-                s1 += w_vertex[x]
-        s2 = 0
-        incident = [0] * n  # sum of active-edge weights at each endpoint
-        pair_bonus = [0] * n  # weight of active edges inside N(v), per v
-        for idx, (x, y) in enumerate(G.edges):
-            if (covered >> x & 1) or (covered >> y & 1):
-                continue
-            w = w_edge[idx]
-            s2 += w
-            incident[x] += w
-            incident[y] += w
-            both = G.adj[x] & G.adj[y]
-            if both:
-                for v in iter_bits(both):
-                    pair_bonus[v] += w
-
+        weight = [(n - u) ** j for u in sizes]
+        active = uncovered[ex] & uncovered[ey]
+        active_class = edge_class[active]
+        degree_counts = Counter(degree[uncovered].tolist())
+        union_counts = {
+            sizes[c]: cnt
+            for c, cnt in enumerate(np.bincount(active_class, minlength=classes).tolist())
+            if cnt
+        }
+        now = _scaled_expectation(n, degree_counts, union_counts, j)
         # Previous-state expectation, scaled by n**(j+1).
-        prev = _scaled_expectation(
-            G, covered, j + 1, lambda i: (n - union_size[i]) ** (j + 1)
+        prev = _scaled_expectation(n, degree_counts, union_counts, j + 1)
+
+        # delta[x]: the change in `now` when x alone becomes covered, that is
+        # its active edges' weights minus its own vertex weight; 0 once covered.
+        vertex_weight = {d: d * (n - d) ** j for d in degree_counts}
+        delta = [0] * n
+        for x in np.flatnonzero(uncovered).tolist():
+            delta[x] = -vertex_weight[degrees[x]]
+        keys, counts = np.unique(
+            np.concatenate((ex[active], ey[active])) * classes
+            + np.concatenate((active_class, active_class)),
+            return_counts=True,
         )
+        for key, cnt in zip(keys.tolist(), counts.tolist()):
+            x, c = divmod(key, classes)
+            delta[x] += cnt * weight[c]
+        # pair_bonus[v]: weight of the active edges inside N(v), which the
+        # sum over fresh(v) below counts twice.
+        pair_bonus = [0] * n
+        if has_triangle and len(active_class):
+            for c, row in _common_neighbor_counts(
+                packed, ex[active], ey[active], active_class, classes
+            ):
+                hit = np.flatnonzero(row)
+                for v, cnt in zip(hit.tolist(), row[hit].tolist()):
+                    pair_bonus[v] += cnt * weight[c]
 
         best_v = -1
         best_val = None
         for v in range(n):
-            fresh = G.adj[v] & ~covered
-            drop1 = 0
-            drop_inc = 0
-            for u in iter_bits(fresh):
-                drop1 += w_vertex[u]
-                drop_inc += incident[u]
-            # Edges with both endpoints in `fresh` were subtracted twice.
-            val = (s1 - drop1) - (s2 - drop_inc + pair_bonus[v])
+            val = now + sum(map(delta.__getitem__, neighbors[v])) - pair_bonus[v]
             if best_val is None or val < best_val:
                 best_val = val
                 best_v = v
@@ -256,7 +330,7 @@ def select_cover_expectation(G: Graph, k: int) -> CoverSelection:
                 "conditional expectation increased; selection logic is broken"
             )
         centers.append(best_v)
-        covered |= G.adj[best_v]
+        uncovered[neighbors[best_v]] = False
 
     sel = selection_from_centers(G, centers)
     if Fraction(sel.uncovered_edges) * E_LOWER * k > n * n:

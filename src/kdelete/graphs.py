@@ -23,6 +23,11 @@ INFINITE_GIRTH = math.inf
 _CLIQUE_LIMIT = 12
 _CYCLE_LIMIT = 15
 
+# Largest vertex count parse_edge_list accepts.  The header is checked
+# before anything is allocated from it, so a header such as "1000000000 0"
+# is refused instead of asking build_graph for a billion-entry list.
+MAX_VERTICES = 10_000
+
 
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
@@ -276,7 +281,11 @@ def find_cycle_of_length(G: Graph, length: int) -> Optional[tuple[int, ...]]:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the "n m" header plus "u v" lines format ('#' comments allowed)."""
+    """Parse the "n m" header plus "u v" lines format ('#' comments allowed).
+
+    Raises CapabilityError when the header announces more than MAX_VERTICES
+    vertices, and ValueError on any other malformed input.
+    """
     rows = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -288,6 +297,10 @@ def parse_edge_list(text: str) -> Graph:
     if len(head) != 2:
         raise ValueError(f"header must be 'n m', got {rows[0]!r}")
     n, m = int(head[0]), int(head[1])
+    if n > MAX_VERTICES:
+        raise CapabilityError(
+            f"edge lists are limited to {MAX_VERTICES} vertices (header says {n})"
+        )
     if len(rows) - 1 != m:
         raise ValueError(f"header announces {m} edges but {len(rows) - 1} lines follow")
     edges = []

@@ -65,11 +65,6 @@ class ExpansionWitness:
         size_s = self.smask.bit_count()
         return self.g**self.r * self.d_s <= self.d_b**self.r * size_s * n
 
-    def removal_cost(self) -> int:
-        """Degree mass removed from S when B and N(B) leave: D(B) + max(g,0)
-        + D(B) again for the neighborhood's own base term."""
-        return 2 * self.d_b + max(self.g, 0)
-
     def to_json(self):
         return {
             "center": self.center,

@@ -56,12 +56,6 @@ class VertexPartition:
                 out[v] = i
         return out
 
-    def block_of(self, v: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if b >> v & 1:
-                return i
-        raise ValueError(f"vertex {v} out of range")
-
     def internal_edges(self, G: Graph) -> tuple[tuple[int, int], ...]:
         if G.n != self.n:
             raise ValueError("graph size does not match partition")
@@ -79,12 +73,6 @@ class VertexPartition:
         if k < self.k:
             raise ValueError("cannot pad down")
         return VertexPartition(self.n, self.blocks + (0,) * (k - self.k))
-
-    def relabeled(self, order: Sequence[int]) -> "VertexPartition":
-        """Blocks permuted by `order` (order[i] = old index of new block i)."""
-        if sorted(order) != list(range(self.k)):
-            raise ValueError("order must be a permutation of the block indices")
-        return VertexPartition(self.n, tuple(self.blocks[i] for i in order))
 
     def to_json(self, G: Optional[Graph] = None):
         out = {"k": self.k, "labels": self.assignment()}

@@ -35,6 +35,7 @@ from .constructions import (
 from .cover import exact_u, select_cover
 from .graphs import odd_girth
 from .maxcut import (
+    balanced_group_sizes,
     d_l_complete,
     coarsen_cut,
     local_search_cut,
@@ -224,17 +225,12 @@ def _check_coarsening(graphs, pairs) -> str:
             coarse = coarsen_cut(G, fine.partition, l)
             _need(
                 coarse.crossing * comb(k, 2)
-                >= (comb(k, 2) - sum(comb(s, 2) for s in _sizes(k, l)))
+                >= (comb(k, 2) - sum(comb(s, 2) for s in balanced_group_sizes(k, l)))
                 * fine.crossing,
                 f"{name}: coarsening lost more than d_l(K_k) at (k,l)=({k},{l})",
             )
             count += 1
     return f"{count} coarsenings kept the d_l(K_k) share"
-
-
-def _sizes(k: int, l: int) -> tuple[int, ...]:
-    q, rem = divmod(k, l)
-    return tuple([q + 1] * rem + [q] * (l - rem))
 
 
 def _check_dl_coarsen_product(graphs, pairs) -> str:

@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+from kdelete import cli
 from kdelete.cli import _bench_grid, bench_point, main
+from kdelete.errors import InvariantViolation
+from kdelete.graphs import MAX_VERTICES
 
 C5_TEXT = "5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n"
 
@@ -151,6 +154,31 @@ def test_capability_exit_code(capsys, monkeypatch):
         stdin_text=C5_TEXT, capsys=capsys, monkeypatch=monkeypatch,
     )
     assert code == 3
+
+
+def test_vertex_cap_exit_code(capsys, monkeypatch):
+    code, out, err = run_cli(
+        ["partition", "--method", "trianglefree", "--k", "2"],
+        stdin_text=f"{MAX_VERTICES + 1} 0\n", capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 3
+    assert out == ""
+    assert "refused" in err
+
+
+def test_invariant_violation_exit_code(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantViolation("deleted more than the ceiling")
+
+    monkeypatch.setattr(cli, "partition_triangle_free", broken)
+    code, out, err = run_cli(
+        ["partition", "--method", "trianglefree", "--k", "2"],
+        stdin_text=C5_TEXT, capsys=capsys, monkeypatch=monkeypatch,
+    )
+    assert code == 4
+    assert out == ""
+    assert "invariant violated: deleted more than the ceiling" in err
 
 
 def test_usage_error_exit_code():

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -8,7 +10,10 @@ from kdelete import constructions as cons
 from kdelete._rng import derive_seed
 from kdelete.bounds import E_LOWER
 from kdelete.constructions import random_graph
+from kdelete.corpus import cover_suite, k4_free_suite
 from kdelete.cover import (
+    CoverSelection,
+    _scaled_expectation,
     disjointify,
     even_parts,
     exact_u,
@@ -17,7 +22,9 @@ from kdelete.cover import (
     select_cover_greedy,
     selection_from_centers,
 )
-from kdelete.graphs import edges_inside
+from kdelete.errors import InvariantViolation
+from kdelete.graphs import Graph, edges_inside, iter_bits
+from kdelete.oracle import enumerate_graphs
 
 random_instances = st.builds(
     random_graph,
@@ -125,3 +132,193 @@ def test_cover_is_deterministic_per_seed():
     assert a.uncovered_edges == b.uncovered_edges
     # a different seed may coincide but not on this pinned instance
     assert c.centers != a.centers
+
+
+# Test-only reference: select_cover_expectation as it was before the
+# union-size class counts, copied verbatim but for the two names.  It takes
+# one big-int power per edge and walks every active edge's common neighbors
+# at every step, so it is slow, but it is the definition the class counts
+# must reproduce exactly: same centers, same sets, same uncovered count.
+def _scaled_expectation_plain(G: Graph, covered: int, j: int, pair_pow) -> int:
+    """E[uncovered edges after j more uniform picks] * n**j, exactly.
+
+    An endpoint x stays uncovered with probability ((n - d(x)) / n)**j if it
+    is uncovered now, and an edge survives if either endpoint does, so by
+    inclusion-exclusion the scaled expectation is
+
+        sum_{x uncovered} d(x) * (n - d(x))**j
+        - sum_{edges with both endpoints uncovered} (n - u_e)**j
+
+    with u_e = |N(x) | N(y)|.  pair_pow maps an edge index to (n - u_e)**j.
+    """
+    n = G.n
+    total = 0
+    for x in range(n):
+        if not (covered >> x & 1):
+            d = G.degree(x)
+            total += d * (n - d) ** j
+    for idx, (x, y) in enumerate(G.edges):
+        if not (covered >> x & 1) and not (covered >> y & 1):
+            total -= pair_pow(idx)
+    return total
+
+
+def select_cover_expectation_plain(G: Graph, k: int) -> CoverSelection:
+    """Derandomized uniform draw: uncovered_edges <= n^2/(e*k) on every run.
+
+    Maintains the conditional expectation of the final uncovered count and, at
+    each step, picks the lowest-indexed center that does not increase it.  The
+    average over all n candidate centers equals the current expectation, so
+    such a center always exists; at j = 0 the expectation *is* the uncovered
+    count, which is therefore bounded by the initial expectation n^2/(e*k).
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    if G.n == 0:
+        raise ValueError("cannot select centers in an empty graph")
+    n = G.n
+    union_size = [0] * G.m
+    for idx, (x, y) in enumerate(G.edges):
+        union_size[idx] = (G.adj[x] | G.adj[y]).bit_count()
+    degs = [G.degree(v) for v in range(n)]
+
+    covered = 0
+    centers: list[int] = []
+    for step in range(k):
+        j = k - step - 1
+        # Weights at the exponent for *after* this pick.
+        w_vertex = [degs[x] * (n - degs[x]) ** j for x in range(n)]
+        w_edge = [(n - u) ** j for u in union_size]
+
+        # Active edges: both endpoints currently uncovered.
+        s1 = 0
+        for x in range(n):
+            if not (covered >> x & 1):
+                s1 += w_vertex[x]
+        s2 = 0
+        incident = [0] * n  # sum of active-edge weights at each endpoint
+        pair_bonus = [0] * n  # weight of active edges inside N(v), per v
+        for idx, (x, y) in enumerate(G.edges):
+            if (covered >> x & 1) or (covered >> y & 1):
+                continue
+            w = w_edge[idx]
+            s2 += w
+            incident[x] += w
+            incident[y] += w
+            both = G.adj[x] & G.adj[y]
+            if both:
+                for v in iter_bits(both):
+                    pair_bonus[v] += w
+
+        # Previous-state expectation, scaled by n**(j+1).
+        prev = _scaled_expectation_plain(
+            G, covered, j + 1, lambda i: (n - union_size[i]) ** (j + 1)
+        )
+
+        best_v = -1
+        best_val = None
+        for v in range(n):
+            fresh = G.adj[v] & ~covered
+            drop1 = 0
+            drop_inc = 0
+            for u in iter_bits(fresh):
+                drop1 += w_vertex[u]
+                drop_inc += incident[u]
+            # Edges with both endpoints in `fresh` were subtracted twice.
+            val = (s1 - drop1) - (s2 - drop_inc + pair_bonus[v])
+            if best_val is None or val < best_val:
+                best_val = val
+                best_v = v
+        assert best_val is not None
+        if best_val * n > prev:
+            raise InvariantViolation(
+                "conditional expectation increased; selection logic is broken"
+            )
+        centers.append(best_v)
+        covered |= G.adj[best_v]
+
+    sel = selection_from_centers(G, centers)
+    if Fraction(sel.uncovered_edges) * E_LOWER * k > n * n:
+        raise InvariantViolation(
+            f"derandomized cover left {sel.uncovered_edges} edges uncovered, "
+            f"above n^2/(e*k) with n={n}, k={k}"
+        )
+    return sel
+
+
+def assert_matches_plain(G: Graph, k: int) -> None:
+    got = select_cover_expectation(G, k)
+    want = select_cover_expectation_plain(G, k)
+    assert got.centers == want.centers
+    assert got.disjoint_sets == want.disjoint_sets
+    assert got.uncovered_edges == want.uncovered_edges
+
+
+@given(random_instances, st.integers(1, 6))
+def test_expectation_cover_matches_plain_reference(G, k):
+    assert_matches_plain(G, k)
+
+
+PALEY_13 = cons.circulant(13, [1, 3, 4])
+
+
+@pytest.mark.parametrize(
+    "G, k",
+    [
+        (cons.complete_multipartite([20] * 3), 4),
+        (cons.complete_multipartite([20] * 3), 8),
+        (PALEY_13, 3),
+        (PALEY_13, 6),
+        (cons.blow_up(PALEY_13, 3), 4),
+    ],
+    ids=["tripartite-20-k4", "tripartite-20-k8", "paley13-k3", "paley13-k6",
+         "paley13-blowup3-k4"],
+)
+def test_expectation_cover_matches_plain_on_fixed_graphs(G, k):
+    assert_matches_plain(G, k)
+
+
+K4_FREE = k4_free_suite()
+
+
+@pytest.mark.parametrize("G", [G for _, G in K4_FREE], ids=[name for name, _ in K4_FREE])
+def test_expectation_cover_matches_plain_on_k4_free_suite(G):
+    assert_matches_plain(G, 4)
+
+
+def test_expectation_cover_matches_plain_on_cover_suite():
+    for name, G in cover_suite():
+        for k in (1, 3, 6):
+            assert_matches_plain(G, k)
+
+
+def uncovered_after(G: Graph, centers) -> int:
+    union = 0
+    for v in centers:
+        union |= G.adj[v]
+    return sum(1 for x, y in G.edges if not (union >> x & 1 and union >> y & 1))
+
+
+def test_scaled_expectation_is_the_sum_over_all_center_tuples():
+    """n**j * E[uncovered] equals the uncovered count summed over all n**j
+    tuples of further centers, on every labeled graph with n <= 5."""
+    for n in range(1, 6):
+        for G in enumerate_graphs(n):
+            for prefix in ((), (0,), (n - 1,)):
+                covered = 0
+                for v in prefix:
+                    covered |= G.adj[v]
+                degree_counts = Counter(
+                    G.degree(x) for x in range(n) if not covered >> x & 1
+                )
+                union_counts = Counter(
+                    (G.adj[x] | G.adj[y]).bit_count()
+                    for x, y in G.edges
+                    if not (covered >> x & 1 or covered >> y & 1)
+                )
+                for j in range(3):
+                    brute = sum(
+                        uncovered_after(G, prefix + more)
+                        for more in product(range(n), repeat=j)
+                    )
+                    assert _scaled_expectation(n, degree_counts, union_counts, j) == brute

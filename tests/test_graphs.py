@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kdelete import constructions as cons
+from kdelete.errors import CapabilityError
 from kdelete.graphs import (
+    MAX_VERTICES,
     bfs_layers,
     bits_list,
     build_graph,
@@ -62,6 +64,12 @@ def test_parse_edge_list_header_and_comments():
         parse_edge_list("3 2\n0 1\n")
     with pytest.raises(ValueError):
         parse_edge_list("")
+
+
+def test_parse_edge_list_vertex_cap():
+    assert parse_edge_list(f"{MAX_VERTICES} 1\n0 1\n").n == MAX_VERTICES
+    with pytest.raises(CapabilityError):
+        parse_edge_list(f"{MAX_VERTICES + 1} 0\n")
 
 
 @given(graphs)
