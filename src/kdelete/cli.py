@@ -22,7 +22,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .cliquefree import (
@@ -188,10 +187,10 @@ def _cmd_oracle(args, argv) -> int:
     elif args.quantity == "u":
         value = exact_u(G, args.k)
     elif args.quantity == "lambda":
-        profile = second_eigenvalue(G, seed=args.seed)
+        profile = second_eigenvalue(G)
         value = profile.lam
     else:  # spectral lower bound on h(G, k)
-        profile = second_eigenvalue(G, seed=args.seed)
+        profile = second_eigenvalue(G)
         cert = spectral_lower_bound(G, args.k, profile)
         mix = mixing_check(G, profile, seed=args.seed)
         _emit(argv, digest, args.seed, {
@@ -219,9 +218,6 @@ def _cmd_verify(args, argv) -> int:
 
 
 # --- bench -----------------------------------------------------------------
-# bench_point must stay module-level (ProcessPoolExecutor pickles it by name)
-# and rebuild its graph from the grid tuple so worker processes need nothing
-# beyond the package import.
 
 BENCH_FAMILIES = ("c5blowup", "turan", "oddcycle")
 
@@ -265,12 +261,7 @@ def bench_point(point: tuple) -> tuple:
 
 
 def _cmd_bench(args, argv) -> int:
-    points = _bench_grid(args.family, args.seed)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(bench_point, points))
-    else:
-        rows = [bench_point(p) for p in points]
+    rows = [bench_point(p) for p in _bench_grid(args.family, args.seed)]
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out, lineterminator="\n")
@@ -362,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="sweep (n, k, r) grids and emit CSV")
     p.add_argument("--family", choices=BENCH_FAMILIES + ("all",), default="all")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     common(p, graph_input=False)
     p.set_defaults(func=_cmd_bench)

@@ -1,12 +1,11 @@
 """Named graphs, seeded random graphs, blow-ups, and spectral certificates.
 
-The spectral side estimates lambda = max(|mu_2|, |mu_min|) of the adjacency
-spectrum with two shifted power iterations (both operators are positive
-semidefinite after the shift, so the iterations converge monotonically):
-mu_2 from A + dI deflated against the all-ones vector on regular graphs (or
-against the computed top eigenvector otherwise), mu_min from dI - A, whose
-top eigenvalue is d - mu_min.  Estimation failure is surfaced as a large
-residual, never as an exception.
+The spectral side takes lambda = max(|mu_2|, |mu_min|) of the adjacency
+spectrum from one `numpy.linalg.eigh` call, regular or not, with no start
+vector and no iteration.  Its residual is Kahan's inclusion radius for the
+computed eigenpairs, which bounds the error of every eigenvalue at once
+(W. Kahan, "Inclusion theorems for clusters of eigenvalues of Hermitian
+matrices", 1967).
 
 A lower-bound certificate for deletion counts follows from the mixing
 property: every k-partition has sum of block sizes squared at least n^2/k,
@@ -25,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._rng import SplitMix64, derive_seed
-from .errors import PreconditionError
+from .errors import InvariantViolation, PreconditionError
 from .graphs import Graph, build_graph, edges_between
 from .serialize import fraction_str
 
@@ -133,20 +132,20 @@ GENERATORS: dict[str, Callable[..., Graph]] = {
 
 @dataclass(frozen=True)
 class SpectralProfile:
-    """Power-iteration estimate of lambda = max(|mu_2|, |mu_min|).
+    """lambda = max(|mu_2|, |mu_min|) from one eigendecomposition of A.
 
     d is the common degree, or None when the graph is not regular (lambda
     then still describes the adjacency spectrum, but the certificate and
-    mixing checks refuse to run).  residual is the largest ||Ax - theta*x||
-    across the runs; a residual above the tolerance means the estimate did
-    not converge.
+    mixing checks refuse to run).  residual is Kahan's inclusion radius
+    ||A X - X diag(mu)||_F / sqrt(1 - ||X^T X - I||_F) of the computed
+    eigenpairs (mu, X): every eigenvalue of A lies within it of its sorted
+    partner in mu, so lambda + residual bounds the true lambda.
     """
 
     n: int
     d: Optional[int]
     lam: float
     residual: float
-    iterations: int
 
     def to_json(self):
         return {
@@ -154,86 +153,27 @@ class SpectralProfile:
             "d": self.d,
             "lambda": self.lam,
             "residual": self.residual,
-            "iterations": self.iterations,
         }
 
 
-def _power_top(
-    apply_op, n: int, rng: SplitMix64, iterations: int, tol: float, deflate=()
-) -> tuple[float, np.ndarray, float, int]:
-    """Largest eigenvalue of a PSD operator, orthogonally to `deflate`.
-
-    Returns (theta, vector, residual, iterations_used); the caller judges
-    convergence from the residual.
-    """
-    x = np.array([rng.random() * 2.0 - 1.0 for _ in range(n)])
-    for dvec in deflate:
-        x -= (x @ dvec) * dvec
-    nx = float(np.linalg.norm(x))
-    if nx < 1e-12:
-        x = np.zeros(n)
-        x[0] = 1.0
-        for dvec in deflate:
-            x -= (x @ dvec) * dvec
-        nx = float(np.linalg.norm(x))
-        if nx < 1e-12:
-            return 0.0, np.zeros(n), 0.0, 0
-    x = x / nx
-    theta = 0.0
-    res = math.inf
-    for it in range(1, iterations + 1):
-        y = apply_op(x)
-        for dvec in deflate:
-            y -= (y @ dvec) * dvec
-        theta = float(x @ y)
-        res = float(np.linalg.norm(y - theta * x))
-        if res <= tol:
-            return theta, x, res, it
-        ny = float(np.linalg.norm(y))
-        if ny < 1e-300:
-            return 0.0, x, 0.0, it  # x is annihilated: exact eigenpair for 0
-        x = y / ny
-    return theta, x, res, iterations
-
-
-def second_eigenvalue(
-    G: Graph, iterations: int = 10**5, tol: float = 1e-9, seed: int = 0
-) -> SpectralProfile:
+def second_eigenvalue(G: Graph) -> SpectralProfile:
     n = G.n
     degs = [G.degree(v) for v in range(n)]
     regular = n > 0 and len(set(degs)) == 1
     d = degs[0] if regular else None
     if n <= 1:
-        return SpectralProfile(n, 0 if n == 1 else None, 0.0, 0.0, 0)
+        return SpectralProfile(n, 0 if n == 1 else None, 0.0, 0.0)
     A = np.zeros((n, n))
     for u, v in G.edges:
         A[u, v] = 1.0
         A[v, u] = 1.0
-    rng = SplitMix64(derive_seed(seed, 0x31, G.n, G.m))
-    if regular:
-        ones = np.ones(n) / math.sqrt(n)
-        th1, _, r1, i1 = _power_top(
-            lambda x: A @ x + d * x, n, rng, iterations, tol, deflate=(ones,)
-        )
-        mu2 = th1 - d
-        th2, _, r2, i2 = _power_top(lambda x: d * x - A @ x, n, rng, iterations, tol)
-        mu_min = d - th2
-        lam = max(abs(mu2), abs(mu_min))
-        return SpectralProfile(n, d, lam, max(r1, r2), max(i1, i2))
-    delta = max(degs)
-    th0, v1, r0, i0 = _power_top(
-        lambda x: A @ x + delta * x, n, rng, iterations, tol
-    )
-    th1, _, r1, i1 = _power_top(
-        lambda x: A @ x + delta * x, n, rng, iterations, tol, deflate=(v1,)
-    )
-    mu2 = th1 - delta
-    th2, _, r2, i2 = _power_top(
-        lambda x: delta * x - A @ x, n, rng, iterations, tol
-    )
-    mu_min = delta - th2
-    lam = max(abs(mu2), abs(mu_min))
-    return SpectralProfile(n, None, lam, max(r0, r1, r2), max(i0, i1, i2))
+    mu, X = np.linalg.eigh(A)
+    drift = float(np.linalg.norm(X.T @ X - np.eye(n)))
+    if drift >= 1.0:
+        raise InvariantViolation("eigenvectors too far from orthonormal to bound")
+    residual = float(np.linalg.norm(A @ X - X * mu)) / math.sqrt(1.0 - drift)
+    lam = max(abs(float(mu[-2])), abs(float(mu[0])))
+    return SpectralProfile(n, d, lam, residual)
 
 
 def _ceil_decimal(x: float, digits: int = 12) -> Fraction:
@@ -246,9 +186,10 @@ class LowerBoundCertificate:
     """Exact rational lower bound on the k-partition deletion count.
 
     value <= h(G, k) whenever lam_upper really is an upper bound on
-    max(|mu_2|, |mu_min|); lam_upper absorbs the power-iteration residual
-    and rounds up to 12 decimal digits, so the only way to cheat it is a
-    run that converged to the wrong eigenpair, which the residual exposes.
+    max(|mu_2|, |mu_min|).  lam_upper is lambda plus the profile's residual,
+    rounded up to 12 decimal digits; the residual bounds the distance of
+    every true eigenvalue from its computed partner.  What stays unchecked
+    is the floating-point rounding in computing the residual itself.
     """
 
     k: int

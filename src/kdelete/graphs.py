@@ -120,24 +120,6 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, edges, tuple(adj))
 
 
-def bfs_layers(G: Graph, v: int, depth: int) -> list[int]:
-    """Masks of vertices at distance exactly 0..depth from v (empty once exhausted)."""
-    if not 0 <= v < G.n:
-        raise ValueError(f"vertex {v} out of range")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    layers = [1 << v]
-    seen = 1 << v
-    for _ in range(depth):
-        nxt = 0
-        for u in iter_bits(layers[-1]):
-            nxt |= G.adj[u]
-        nxt &= ~seen
-        seen |= nxt
-        layers.append(nxt)
-    return layers
-
-
 def degree_sum(G: Graph, S: int) -> int:
     """Sum of degrees over the masked vertices (internal edges count twice)."""
     if S & ~G.full_mask:

@@ -270,21 +270,15 @@ def _ce_grouping(w: list[list[int]], sizes: tuple[int, ...]) -> list[list[int]]:
     return groups
 
 
-def coarsen_cut(
-    G: Graph,
-    fine: VertexPartition,
-    l: int,
-    seed: int = 0,
-    trials: int = 0,
-) -> CutResult:
+def coarsen_cut(G: Graph, fine: VertexPartition, l: int) -> CutResult:
     """Merge the k blocks of a fine cut into l groups, keeping at least a
     d_l(K_k) fraction of the fine crossing weight.
 
     A uniformly random equitable grouping keeps each crossing edge with
     probability 1 - sum C(s_i,2)/C(k,2) = d_l(K_k), and the conditional-
     expectation greedy never falls below that average; small instances are
-    additionally enumerated exhaustively and optional seeded trials can only
-    improve the incumbent, so the guarantee is asserted on the result.
+    additionally enumerated exhaustively, which can only improve the
+    incumbent, so the guarantee is asserted on the result.
     """
     if l < 1:
         raise ValueError("l must be positive")
@@ -309,21 +303,6 @@ def coarsen_cut(
             if best is None or got < best[0]:
                 best = (got, [list(g) for g in grouping])
         candidates.append((best[0], "coarsen-exhaustive", best[1]))
-    if trials > 0:
-        rng = SplitMix64(derive_seed(seed, 0x71, G.n, G.m, k, l))
-        order = list(range(k))
-        best = None
-        for _ in range(trials):
-            rng.shuffle(order)
-            groups = []
-            at = 0
-            for s in sizes:
-                groups.append(sorted(order[at : at + s]))
-                at += s
-            got = _grouping_internal(w, groups)
-            if best is None or got < best[0]:
-                best = (got, [list(g) for g in groups])
-        candidates.append((best[0], "coarsen-trials", best[1]))
     internal, method, groups = min(candidates, key=lambda c: c[0])
     blocks = []
     for g in groups:
@@ -491,7 +470,7 @@ def maxcut_dense_driver(G: Graph, r: int, seed: int = 0) -> CutResult:
     report = partition_odd_cycle_free(G, k, r)
     m0 = report.deleted
     fine = report.partition
-    coarse = coarsen_cut(G, fine, 2, seed=seed)
+    coarse = coarsen_cut(G, fine, 2)
     greedy2 = local_search_cut(G, 2, seed=seed)
     best = coarse if coarse.crossing >= greedy2.crossing else greedy2
     dense = 2 * k * m0 <= m

@@ -11,7 +11,7 @@ Numeric tolerances are pinned here and nowhere else:
 
 * rational guarantees (cover sizes, deletion bounds, cut densities) are
   compared exactly via ``fractions.Fraction``;
-* the only floating-point slack is for power iteration: eigenvalue
+* the only floating-point slack is for the spectrum: eigenvalue
   residual <= 1e-6 and mixing slack >= -1e-6.
 """
 
@@ -266,7 +266,7 @@ def test_criterion_11_spectral_certificates_stay_below_truth():
         small = [(name, G) for name, G in regular_suite() if G.n <= 10]
         assert len(small) >= 15
         for name, G in small:
-            prof = second_eigenvalue(G, seed=1)
+            prof = second_eigenvalue(G)
             assert prof.d is not None
             assert prof.residual <= RESIDUAL_TOL, name
             for k in (2, 3):

@@ -1,13 +1,16 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from kdelete import cli
 from kdelete.cli import _bench_grid, bench_point, main
+from kdelete.constructions import petersen
 from kdelete.errors import InvariantViolation
-from kdelete.graphs import MAX_VERTICES
+from kdelete.graphs import MAX_VERTICES, format_edge_list
+from kdelete.oracle import exact_h
 
 C5_TEXT = "5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n"
 
@@ -65,6 +68,40 @@ def test_oracle_u_and_maxcut(capsys, monkeypatch):
         monkeypatch=monkeypatch,
     )
     assert out == "3\n"
+
+
+def _petersen_text():
+    return format_edge_list(petersen())
+
+
+def test_oracle_lambda_on_petersen(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        ["oracle", "lambda"], stdin_text=_petersen_text(), capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert abs(float(out) - 2.0) <= 1e-9
+
+
+def test_oracle_spectral_on_petersen(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        ["oracle", "spectral", "--k", "2"], stdin_text=_petersen_text(),
+        capsys=capsys, monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    cert = json.loads(out)["outputs"]["certificate"]
+    assert Fraction(cert["lambda_upper"]) >= 2
+    assert Fraction(cert["value"]) <= exact_h(petersen(), 2)
+
+
+def test_oracle_spectral_refuses_irregular(capsys, monkeypatch):
+    code, out, err = run_cli(
+        ["oracle", "spectral"], stdin_text="3 2\n0 1\n1 2\n", capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 3
+    assert out == ""
+    assert "regular" in err
 
 
 def test_partition_report_is_byte_stable(capsys, monkeypatch, tmp_path):

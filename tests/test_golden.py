@@ -1,0 +1,83 @@
+"""Golden pins: the sha256 of stdout for fixed CLI commands.
+
+Each command reads its edge list from stdin, so the report's `command`
+field carries no file path.  A refactor that changes any report byte fails
+here.  `oracle lambda` and `oracle spectral` are not pinned: their floats
+depend on the BLAS build.
+"""
+
+import hashlib
+import io
+import sys
+
+import pytest
+
+from kdelete import constructions as cons
+from kdelete.cli import main
+from kdelete.graphs import format_edge_list
+
+INPUTS = {
+    "petersen": cons.petersen(),
+    "c5x4": cons.blow_up(cons.cycle(5), 4),
+    "c7x3": cons.blow_up(cons.cycle(7), 3),
+    "k888": cons.complete_multipartite([8, 8, 8]),
+    "k252525": cons.complete_multipartite([25, 25, 25]),
+    "random12": cons.random_graph(12, 0.4, seed=5),
+    "random30": cons.random_graph(30, 0.3, seed=1),
+    "c9": cons.cycle(9),
+}
+
+# (graph on stdin or None, argv, sha256 of stdout)
+PINS = [
+    (None, "gen --kind random --n 9 --p 0.4 --seed 7 --blowup 2",
+     "094df0801f7264fc05963cffc1256fbdd12d57b20c52feef8fd87b3dec6256db"),
+    (None, "gen --kind multipartite --sizes 2,3,4",
+     "17d2d9f2741be7202ba0db0029bee180790ca655cc98360bb570917b86b9c582"),
+    ("petersen", "partition --method trianglefree --k 2 --strategy expectation",
+     "bd32d01e0783d9fa3ee5fe0468f97bdbc69694cafe90b067db64fbf661b5069c"),
+    ("c5x4", "partition --method trianglefree --k 2 --strategy greedy --verify-preconditions",
+     "72332273e414c63a3f63fbaee9fe4aa00bdd6b5d3d3db52efabfe6597dd4c86f"),
+    ("k888", "partition --method clique --r 4 --k 4",
+     "6d3d3e1b91107b766d476869a652af82fc7378019eea0c64cfc84c8fa9b3d680"),
+    ("k252525", "partition --method clique --r 4 --k 66",
+     "c1534e119b96414f2464ac5def13f8ee4b4462c5f5dad97ff46914db32516ddb"),
+    ("petersen", "partition --method wheel --r 1 --k 3",
+     "546ba2562141fc3abdd8d54ae36ff2569540a1e70aa897c2a6270cedfb4b1eee"),
+    ("c7x3", "partition --method oddgirth --r 2 --k 3",
+     "361c6a32e5a2984bc04def11489720fe0a294ce12d97cf263e6d6711df1cb928"),
+    ("c7x3", "partition --method oddcycle --r 2 --k 4",
+     "20866390b420c21d6b5bc4f3b7cd2ad48f36445eeb9bad7280de207274e9fca8"),
+    ("random30", "cover --k 3 --strategy best",
+     "0a7aad7d2430232aa5a2e11bc77f3cfbf2eebf8ba4e32882f7fe1a20ff9d418e"),
+    ("random30", "cover --k 3 --strategy greedy",
+     "e9295fc6ab9282ccbd874a31aebc78100151aa3e0e0d38924759aca3b308dfe7"),
+    ("random30", "cover --k 3 --strategy expectation",
+     "69b05860e7169cdcbeb9f892aff23ac19610f539cfdf8258deefa1d0f4eeec5f"),
+    ("random30", "cover --k 3 --strategy random --trials 4 --seed 2",
+     "6b93dc50a49d5c1ecffd1c4bcf9600ce61840ba400dd34b1f84cd2b77daa0bbd"),
+    ("petersen", "scrub --r 2",
+     "39898b4ccb7d30e207dcf4ae5188b7431925662d8cf1084314de28fa527b31e8"),
+    ("random12", "maxcut --method exact --l 3",
+     "37d5ce86b3971afe42702d85424b7690147c15bb17447f01e30273cb436f8980"),
+    ("random12", "maxcut --method local --l 2 --seed 3",
+     "0a215342b003596d610abd2a37183d77b56b1da5cbb2f4f1f1a7a597a0de4172"),
+    ("c9", "maxcut --method driver --r 1",
+     "a8d1ee2708a5b7a2d9b38a23e217a681b9e0c463751f1080118e8b547e027ac9"),
+    ("c5x4", "maxcut --method driver --r 1 --seed 4",
+     "3d877f5e9fb4b9852137c7debab64a7d037d1a6054daafd48d68c9212f9436da"),
+    ("random12", "oracle h --k 3",
+     "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+    ("random12", "oracle maxcut --k 2",
+     "68ca3fba3b7e864770cb61aeb306d4bd4354b68ab4dd38450860c5d823e42a53"),
+    ("random12", "oracle u --k 2",
+     "3840bc236ee03aacbb1ef7d5108ddfa347c59f10b68d4174affbb53140f31273"),
+]
+
+
+@pytest.mark.parametrize("graph, argv, digest", PINS, ids=[p[1] for p in PINS])
+def test_golden_stdout(graph, argv, digest, capsys, monkeypatch):
+    if graph is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(format_edge_list(INPUTS[graph])))
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

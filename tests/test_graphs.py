@@ -8,7 +8,6 @@ from kdelete import constructions as cons
 from kdelete.errors import CapabilityError
 from kdelete.graphs import (
     MAX_VERTICES,
-    bfs_layers,
     bits_list,
     build_graph,
     degree_sum,
@@ -87,13 +86,6 @@ def test_neighborhood_excludes_seed(G):
     S = G.full_mask & 0b110
     nb = neighborhood(G, S)
     assert nb & S == 0
-
-
-def test_bfs_layers_on_cycle():
-    C6 = cons.cycle(6)
-    layers = bfs_layers(C6, 0, 3)
-    assert [lay.bit_count() for lay in layers] == [1, 2, 2, 1]
-    assert layers[0] == 1
 
 
 def test_odd_girth_values():

@@ -88,7 +88,7 @@ def test_d2_of_complete_k_is_the_driver_constant():
 def test_coarsen_share_holds(G, seed):
     fine = random_partition(G, 4, seed=seed)
     fine_crossing = fine.crossing_count(G)
-    cut = coarsen_cut(G, fine, 2, seed=seed).validate(G)
+    cut = coarsen_cut(G, fine, 2).validate(G)
     assert Fraction(cut.crossing) >= d_l_complete(2, 4) * fine_crossing
 
 
