@@ -39,7 +39,7 @@ from .constructions import (
     spectral_lower_bound,
 )
 from .cover import exact_u, select_cover
-from .errors import CapabilityError, InvariantViolation, PreconditionError
+from .errors import CapabilityError, InvariantViolation, KDeleteError, PreconditionError
 from .graphs import Graph, format_edge_list, parse_edge_list
 from .maxcut import local_search_cut, max_k_cut_exact, maxcut_odd_cycle_free
 from .oddgirth import (
@@ -375,6 +375,9 @@ def main(argv=None) -> int:
         return 3
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
+        return 4
+    except KDeleteError as exc:
+        print(f"internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 4
     finally:
         print(f"wall_time_seconds={time.perf_counter() - t0:.3f}",

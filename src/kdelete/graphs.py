@@ -12,8 +12,7 @@ one edge per line; '#' starts a comment.
 from __future__ import annotations
 
 import math
-from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .errors import CapabilityError
 
@@ -209,20 +208,49 @@ def find_cycle_of_length(G: Graph, length: int) -> Optional[tuple[int, ...]]:
     """First cycle on exactly `length` vertices under lowest-index DFS order.
 
     Anchored at each start vertex s in turn; only vertices above s may appear,
-    so s is the least vertex of the returned cycle.  A partial path is pruned
-    when the BFS distance back to s exceeds the remaining step budget.
-    Returns None when no such cycle exists (in particular when length > n).
+    so s is the least vertex of the returned cycle, and its second vertex is
+    below its last.  Triangles are found with bit masks; longer cycles by a
+    DFS that prunes a partial path when the BFS distance back to s exceeds
+    the remaining step budget.  Returns None when no such cycle exists (in
+    particular when length > n).
+    """
+    return _find_cycle(G.adj, length, 0)
+
+
+def _find_cycle(
+    adj: list[int] | tuple[int, ...], length: int, start: int
+) -> Optional[tuple[int, ...]]:
+    """find_cycle_of_length on a bare adjacency list, trying anchors >= start.
+
+    Skipping the anchors below `start` gives the same cycle whenever none of
+    them is the least vertex of a `length`-cycle, which is how the scrub
+    resumes after deleting edges.
     """
     if length < 3:
         raise ValueError("cycle length must be at least 3")
     if length > _CYCLE_LIMIT:
         raise CapabilityError(f"cycle search supports length <= {_CYCLE_LIMIT}, got {length}")
-    if length > G.n:
+    n = len(adj)
+    if length > n:
         return None
-    for s in range(G.n):
-        region = G.full_mask & ~((1 << s) - 1)
+    if length == 3:
+        # The DFS's choice: least anchor s, then the least w1 > s in N(s)
+        # with a common neighbour w2 > w1 in N(s), then the least such w2.
+        for s in range(start, n):
+            rest = adj[s] >> (s + 1) << (s + 1)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w1 = low.bit_length() - 1
+                common = adj[w1] & rest
+                if common:
+                    return (s, w1, (common & -common).bit_length() - 1)
+        return None
+    full = (1 << n) - 1
+    for s in range(start, n):
+        region = full & ~((1 << s) - 1)
         # BFS distances from s within the region
-        dist = [-1] * G.n
+        dist = [-1] * n
         dist[s] = 0
         frontier = 1 << s
         seen = frontier
@@ -231,7 +259,7 @@ def find_cycle_of_length(G: Graph, length: int) -> Optional[tuple[int, ...]]:
             d += 1
             nxt = 0
             for u in iter_bits(frontier):
-                nxt |= G.adj[u]
+                nxt |= adj[u]
             nxt &= region & ~seen
             for u in iter_bits(nxt):
                 dist[u] = d
@@ -242,11 +270,11 @@ def find_cycle_of_length(G: Graph, length: int) -> Optional[tuple[int, ...]]:
 
         def dfs(u: int, used: int, count: int) -> Optional[tuple[int, ...]]:
             if count == length:
-                if G.adj[u] >> s & 1 and path[1] < path[-1]:
+                if adj[u] >> s & 1 and path[1] < path[-1]:
                     return tuple(path)
                 return None
             budget = length - count
-            for w in iter_bits(G.adj[u] & region & ~used):
+            for w in iter_bits(adj[u] & region & ~used):
                 if dist[w] < 0 or dist[w] > budget:
                     continue
                 path.append(w)

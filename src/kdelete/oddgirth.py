@@ -29,14 +29,14 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    bits_list,
+    _find_cycle,
     degree_sum,
     find_cycle_of_length,
     iter_bits,
     neighborhood,
     odd_girth,
 )
-from .partition import BoundReport, VertexPartition, greedy_complete, trivial_distinct
+from .partition import BoundReport, greedy_complete, trivial_distinct
 
 
 @dataclass(frozen=True)
@@ -304,25 +304,37 @@ def scrub_short_odd_cycles(G: Graph, r: int) -> ScrubReport:
     input additionally had no (2r+1)-cycle the result's odd girth exceeds
     2r + 1 (deletions never create cycles) and the removal count obeys the
     n^(3/2) ceiling, which `holds` checks exactly.
+
+    Each length takes the first cycle in find_cycle_of_length's order, again
+    and again.  The edges come off one adjacency list in place, and the next
+    search resumes at the last cycle's anchor (its least vertex): no lower
+    anchor had a cycle of this length before the deletion, and deleting
+    edges creates none, so the cycles found are exactly those a search from
+    anchor 0 on the rebuilt graph would find.  The graph is rebuilt once,
+    at the end.
     """
     if r < 1:
         raise ValueError("r must be positive")
-    H = G
+    adj = list(G.adj)
     removed: list[tuple[int, int]] = []
     cycles: list[tuple[int, ...]] = []
     for ell in range(3, 2 * r, 2):
+        anchor = 0
         while True:
-            cyc = find_cycle_of_length(H, ell)
+            cyc = _find_cycle(adj, ell, anchor)
             if cyc is None:
                 break
-            pairs = [
-                (cyc[i], cyc[(i + 1) % ell]) for i in range(ell)
-            ]
-            H = H.delete_edges(pairs)
-            removed.extend(tuple(sorted(p)) for p in pairs)
+            anchor = cyc[0]
+            for i in range(ell):
+                u, v = cyc[i], cyc[(i + 1) % ell]
+                adj[u] &= ~(1 << v)
+                adj[v] &= ~(1 << u)
+                removed.append((u, v) if u < v else (v, u))
             cycles.append(cyc)
+    if removed:
+        G = G.delete_edges(removed)
     return ScrubReport(
-        graph=H, r=r, removed_edges=tuple(removed), cycles=tuple(cycles)
+        graph=G, r=r, removed_edges=tuple(removed), cycles=tuple(cycles)
     )
 
 

@@ -8,7 +8,7 @@ import pytest
 from kdelete import cli
 from kdelete.cli import _bench_grid, bench_point, main
 from kdelete.constructions import petersen
-from kdelete.errors import InvariantViolation
+from kdelete.errors import EmptyWorkingSet, InvariantViolation
 from kdelete.graphs import MAX_VERTICES, format_edge_list
 from kdelete.oracle import exact_h
 
@@ -216,6 +216,21 @@ def test_invariant_violation_exit_code(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "invariant violated: deleted more than the ceiling" in err
+
+
+def test_other_package_errors_exit_code(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise EmptyWorkingSet("working set has no incident edges")
+
+    monkeypatch.setattr(cli, "partition_odd_girth", broken)
+    code, out, err = run_cli(
+        ["partition", "--method", "oddgirth", "--r", "1", "--k", "2"],
+        stdin_text=C5_TEXT, capsys=capsys, monkeypatch=monkeypatch,
+    )
+    assert code == 4
+    assert out == ""
+    assert "internal error (EmptyWorkingSet): working set has no incident edges" in err
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_code():

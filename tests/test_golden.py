@@ -14,6 +14,7 @@ import pytest
 
 from kdelete import constructions as cons
 from kdelete.cli import main
+from kdelete.corpus import windmill
 from kdelete.graphs import format_edge_list
 
 INPUTS = {
@@ -25,6 +26,7 @@ INPUTS = {
     "random12": cons.random_graph(12, 0.4, seed=5),
     "random30": cons.random_graph(30, 0.3, seed=1),
     "c9": cons.cycle(9),
+    "windmill10": windmill(10),
 }
 
 # (graph on stdin or None, argv, sha256 of stdout)
@@ -57,6 +59,16 @@ PINS = [
      "6b93dc50a49d5c1ecffd1c4bcf9600ce61840ba400dd34b1f84cd2b77daa0bbd"),
     ("petersen", "scrub --r 2",
      "39898b4ccb7d30e207dcf4ae5188b7431925662d8cf1084314de28fa527b31e8"),
+    ("random12", "scrub --r 2",
+     "daaf8789507e2a14913a3e0ec954e275c0d062f69c78cb2873fc3db5a0f70598"),
+    ("random12", "scrub --r 3",
+     "5dab4bfb87219a283aa7f75837bc1f5502ba6663344fb491ec7f0ba22da3cd9c"),
+    ("random30", "scrub --r 2",
+     "f047bd0cd8c6c30398c77d8534430c90b1aa05ae70ca854fd63387b12b9e625d"),
+    ("random30", "scrub --r 3",
+     "5662dae8e6b3888b164361f3a9806d2d4e8a311ebb59fb639de42353afd34cf4"),
+    ("windmill10", "partition --method oddcycle --r 2 --k 2",
+     "ab94a5fa540a54c11330f2f88bfe41b9a1017884ee8cd09f3f07afb9054a95ce"),
     ("random12", "maxcut --method exact --l 3",
      "37d5ce86b3971afe42702d85424b7690147c15bb17447f01e30273cb436f8980"),
     ("random12", "maxcut --method local --l 2 --seed 3",
@@ -74,7 +86,16 @@ PINS = [
 ]
 
 
-@pytest.mark.parametrize("graph, argv, digest", PINS, ids=[p[1] for p in PINS])
+def _pin_ids(pins):
+    """The argv names a pin; a repeated argv is prefixed with its graph."""
+    ids, seen = [], set()
+    for graph, argv, _ in pins:
+        ids.append(f"{graph} {argv}" if argv in seen else argv)
+        seen.add(argv)
+    return ids
+
+
+@pytest.mark.parametrize("graph, argv, digest", PINS, ids=_pin_ids(PINS))
 def test_golden_stdout(graph, argv, digest, capsys, monkeypatch):
     if graph is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(format_edge_list(INPUTS[graph])))

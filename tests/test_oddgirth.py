@@ -1,5 +1,6 @@
-import math
+import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -8,19 +9,32 @@ from hypothesis import strategies as st
 from kdelete import constructions as cons
 from kdelete.bounds import decay_step_holds
 from kdelete.constructions import random_graph
+from kdelete.corpus import book, c5_free_scrub_suite, windmill
 from kdelete.errors import (
+    CapabilityError,
     EmptyWorkingSet,
     ForbiddenCyclePresent,
     OddGirthTooSmall,
 )
-from kdelete.graphs import degree_sum, edges_inside, iter_bits, odd_girth
+from kdelete.graphs import (
+    _CYCLE_LIMIT,
+    Graph,
+    build_graph,
+    degree_sum,
+    edges_inside,
+    find_cycle_of_length,
+    iter_bits,
+    odd_girth,
+)
 from kdelete.oddgirth import (
+    ScrubReport,
     extract_independent_set,
     find_poor_expansion_set,
     partition_odd_cycle_free,
     partition_odd_girth,
     scrub_short_odd_cycles,
 )
+from kdelete.oracle import enumerate_graphs
 
 any_graph = st.builds(
     random_graph,
@@ -164,3 +178,147 @@ def test_deleted_dominates_internal_count_on_the_input():
     G = windmill(12)
     rep = partition_odd_cycle_free(G, 3, 2)
     assert rep.deleted >= rep.partition.internal_count(G)
+
+
+# Test-only reference: find_cycle_of_length and scrub_short_odd_cycles as
+# they were before the bitmask triangle finder and the in-place scrub,
+# copied verbatim but for their names.  The scrub rebuilds the graph after
+# every cycle and restarts the search at anchor 0, so it is slow, but it is
+# the definition the new code must reproduce exactly: same cycles in the
+# same order, same removed edges, same scrubbed graph.
+def find_cycle_of_length_plain(G: Graph, length: int) -> Optional[tuple[int, ...]]:
+    """First cycle on exactly `length` vertices under lowest-index DFS order.
+
+    Anchored at each start vertex s in turn; only vertices above s may appear,
+    so s is the least vertex of the returned cycle.  A partial path is pruned
+    when the BFS distance back to s exceeds the remaining step budget.
+    Returns None when no such cycle exists (in particular when length > n).
+    """
+    if length < 3:
+        raise ValueError("cycle length must be at least 3")
+    if length > _CYCLE_LIMIT:
+        raise CapabilityError(f"cycle search supports length <= {_CYCLE_LIMIT}, got {length}")
+    if length > G.n:
+        return None
+    for s in range(G.n):
+        region = G.full_mask & ~((1 << s) - 1)
+        # BFS distances from s within the region
+        dist = [-1] * G.n
+        dist[s] = 0
+        frontier = 1 << s
+        seen = frontier
+        d = 0
+        while frontier:
+            d += 1
+            nxt = 0
+            for u in iter_bits(frontier):
+                nxt |= G.adj[u]
+            nxt &= region & ~seen
+            for u in iter_bits(nxt):
+                dist[u] = d
+            seen |= nxt
+            frontier = nxt
+
+        path = [s]
+
+        def dfs(u: int, used: int, count: int) -> Optional[tuple[int, ...]]:
+            if count == length:
+                if G.adj[u] >> s & 1 and path[1] < path[-1]:
+                    return tuple(path)
+                return None
+            budget = length - count
+            for w in iter_bits(G.adj[u] & region & ~used):
+                if dist[w] < 0 or dist[w] > budget:
+                    continue
+                path.append(w)
+                hit = dfs(w, used | (1 << w), count + 1)
+                if hit is not None:
+                    return hit
+                path.pop()
+            return None
+
+        found = dfs(s, 1 << s, 1)
+        if found is not None:
+            return found
+    return None
+
+
+def scrub_short_odd_cycles_plain(G: Graph, r: int) -> ScrubReport:
+    """Delete whole odd cycles of length 3, 5, ..., 2r - 1 until none remain.
+
+    r = 1 is the identity.  The result has odd girth at least 2r + 1; if the
+    input additionally had no (2r+1)-cycle the result's odd girth exceeds
+    2r + 1 (deletions never create cycles) and the removal count obeys the
+    n^(3/2) ceiling, which `holds` checks exactly.
+    """
+    if r < 1:
+        raise ValueError("r must be positive")
+    H = G
+    removed: list[tuple[int, int]] = []
+    cycles: list[tuple[int, ...]] = []
+    for ell in range(3, 2 * r, 2):
+        while True:
+            cyc = find_cycle_of_length_plain(H, ell)
+            if cyc is None:
+                break
+            pairs = [
+                (cyc[i], cyc[(i + 1) % ell]) for i in range(ell)
+            ]
+            H = H.delete_edges(pairs)
+            removed.extend(tuple(sorted(p)) for p in pairs)
+            cycles.append(cyc)
+    return ScrubReport(
+        graph=H, r=r, removed_edges=tuple(removed), cycles=tuple(cycles)
+    )
+
+
+def assert_scrub_matches_plain(G: Graph, r: int) -> None:
+    got = scrub_short_odd_cycles(G, r)
+    want = scrub_short_odd_cycles_plain(G, r)
+    assert got.cycles == want.cycles
+    assert got.removed_edges == want.removed_edges
+    assert got.graph == want.graph
+
+
+def relabeled(G: Graph, seed: int) -> Graph:
+    """G under a seeded vertex permutation, so hubs and spines leave vertex 0."""
+    perm = list(range(G.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges])
+
+
+@given(
+    st.builds(
+        random_graph,
+        n=st.integers(3, 28),
+        p=st.sampled_from([0.1, 0.25, 0.4, 0.7]),
+        seed=st.integers(0, 2**32),
+    ),
+    st.integers(1, 3),
+)
+@settings(max_examples=200)
+def test_scrub_matches_plain_reference(G, r):
+    assert_scrub_matches_plain(G, r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_scrub_matches_plain_on_windmills_and_books(r):
+    graphs = [G for _, G in c5_free_scrub_suite()]
+    for t in (1, 2, 7, 15):
+        graphs += [windmill(t), book(t)]
+        graphs += [relabeled(windmill(t), t), relabeled(book(t), t)]
+    for G in graphs:
+        assert_scrub_matches_plain(G, r)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_scrub_matches_plain_on_c7_blow_ups(t):
+    G = cons.blow_up(cons.cycle(7), t)
+    for r in (1, 2, 3, 4):
+        assert_scrub_matches_plain(G, r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_triangle_search_matches_plain_on_all_labeled_graphs(n):
+    for G in enumerate_graphs(n):
+        assert find_cycle_of_length(G, 3) == find_cycle_of_length_plain(G, 3)
