@@ -37,24 +37,12 @@ def floor_fraction(fr: Fraction) -> int:
     return fr.numerator // fr.denominator
 
 
-def power_bound_holds(value: int, coeff: Fraction, k: int, num: int, den: int) -> bool:
-    """Exact test of value <= coeff / k**(num/den) for a nonnegative integer value."""
-    if value < 0:
-        raise ValueError("value must be nonnegative")
-    return Fraction(value) ** den * Fraction(k) ** num <= coeff**den
-
-
 def floor_power_bound(coeff: Fraction, k: int, num: int, den: int) -> int:
     """floor(coeff / k**(num/den)) computed exactly."""
     target = coeff**den / Fraction(k) ** num
     if target < 0:
         raise ValueError("negative bound")
     return iroot(floor_fraction(target), den)
-
-
-def floor_mul_sqrt(c: int, x: int) -> int:
-    """floor(c * sqrt(x)) for nonnegative integers, computed exactly."""
-    return isqrt(c * c * x)
 
 
 def sqrt_bound_holds(value: int, c: int, x: int) -> bool:

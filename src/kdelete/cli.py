@@ -1,4 +1,4 @@
-"""Command-line surface: generate, partition, cut, cover, scrub, verify, bench.
+"""Command-line surface: generate, partition, cut, cover, scrub, oracle, verify.
 
 Report-producing subcommands wrap their payload in a run report::
 
@@ -7,9 +7,10 @@ Report-producing subcommands wrap their payload in a run report::
 printed as one line of compact JSON with sorted keys, so a fixed input and
 seed reproduce the output byte for byte (wall time goes to stderr for that
 reason).  `gen` prints an edge list, `oracle` prints a bare integer,
-`verify` prints one JSON line per check, and `bench` prints CSV.
+and `verify` prints one JSON line per check.
 
-Exit codes: 0 ok, 2 usage error, 3 capability/budget/precondition error,
+Exit codes: 0 ok, 2 usage error, 3 capability/budget/precondition error
+(including an exact search too deep for the interpreter's recursion limit),
 4 violated guarantee (a failed verify check, or an InvariantViolation raised
 by any subcommand).
 """
@@ -17,12 +18,10 @@ by any subcommand).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .cliquefree import (
     partition_clique_free,
@@ -33,7 +32,6 @@ from .constructions import (
     GENERATORS,
     blow_up,
     complete_multipartite,
-    cycle,
     mixing_check,
     second_eigenvalue,
     spectral_lower_bound,
@@ -217,63 +215,6 @@ def _cmd_verify(args, argv) -> int:
     return 0
 
 
-# --- bench -----------------------------------------------------------------
-
-BENCH_FAMILIES = ("c5blowup", "turan", "oddcycle")
-
-
-def _bench_grid(family: str, seed: int) -> list[tuple]:
-    points = []
-    if family in ("c5blowup", "all"):
-        for t in (4, 8, 16, 32):
-            for k in (2, 3, 4, 6):
-                points.append(("c5blowup", t, k, 3, seed))
-    if family in ("turan", "all"):
-        for a in (20, 40, 60):
-            for k in (66, 128):
-                points.append(("turan", a, k, 4, seed))
-    if family in ("oddcycle", "all"):
-        for t in (3, 6, 9):
-            for k in (2, 4, 8):
-                points.append(("oddcycle", t, k, 2, seed))
-    return points
-
-
-def bench_point(point: tuple) -> tuple:
-    family, size, k, r, seed = point
-    t0 = time.perf_counter()
-    if family == "c5blowup":
-        G = blow_up(cycle(5), size)
-        method = "trianglefree"
-        report = partition_triangle_free(G, k, seed=seed)
-    elif family == "turan":
-        G = complete_multipartite([size, size, size])
-        method = "clique"
-        report = partition_clique_free(G, k, r, seed=seed)
-    else:
-        G = blow_up(cycle(7), size)
-        method = "oddcycle"
-        report = partition_odd_cycle_free(G, k, r)
-    seconds = time.perf_counter() - t0
-    ratio = float(Fraction(report.deleted) / report.bound) if report.bound else 0.0
-    return (G.n, k, r, method, report.deleted, float(report.bound),
-            round(ratio, 6), round(seconds, 3))
-
-
-def _cmd_bench(args, argv) -> int:
-    rows = [bench_point(p) for p in _bench_grid(args.family, args.seed)]
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "k", "r", "method", "deleted", "bound", "ratio",
-                         "seconds"])
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kdelete",
@@ -350,12 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tier", choices=("tiny", "small", "desk"), default="tiny")
     common(p, graph_input=False)
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bench", help="sweep (n, k, r) grids and emit CSV")
-    p.add_argument("--family", choices=BENCH_FAMILIES + ("all",), default="all")
-    p.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    common(p, graph_input=False)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

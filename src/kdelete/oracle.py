@@ -6,7 +6,8 @@ block 0, a new block index only once all earlier ones appear).  exact_h_plain
 re-solves it by unpruned enumeration for cross-checks.  The search is metered:
 every tree node counts against a budget (default 10**7, overridable via the
 KDELETE_BUDGET environment variable) and overruns raise BudgetExceeded rather
-than silently stalling.
+than silently stalling.  The search recurses once per vertex; a search that
+goes deeper than the interpreter's recursion limit raises CapabilityError.
 
 enumerate_graphs yields every labeled graph on up to 7 vertices (optionally
 one representative per isomorphism class for n <= 5), and
@@ -90,7 +91,13 @@ def min_internal_partition(
                 blocks[i] ^= bit
 
     if best_cost > 0:
-        dfs(0, 0, 0)
+        try:
+            dfs(0, 0, 0)
+        except RecursionError:
+            raise CapabilityError(
+                f"exact search on n={n} vertices recursed deeper than the "
+                "interpreter allows"
+            ) from None
     return best_cost, VertexPartition(n, tuple(best_blocks))
 
 

@@ -10,10 +10,8 @@ from kdelete.bounds import (
     ceil_mul_sqrt,
     decay_step_holds,
     floor_fraction,
-    floor_mul_sqrt,
     floor_power_bound,
     iroot,
-    power_bound_holds,
     sqrt_bound_holds,
 )
 
@@ -52,13 +50,14 @@ def test_floor_fraction(fr):
 def test_floor_power_bound_is_the_threshold(c, k, num, den):
     coeff = Fraction(c, 7)
     v = floor_power_bound(coeff, k, num, den)
-    assert power_bound_holds(v, coeff, k, num, den)
-    assert not power_bound_holds(v + 1, coeff, k, num, den)
+    # v <= coeff / k**(num/den) < v + 1, raised to the den-th power
+    assert Fraction(v) ** den * Fraction(k) ** num <= coeff**den
+    assert Fraction(v + 1) ** den * Fraction(k) ** num > coeff**den
 
 
 @given(st.integers(1, 10**6), st.integers(1, 10**9))
 def test_sqrt_bounds_agree(c, x):
-    f = floor_mul_sqrt(c, x)
+    f = math.isqrt(c * c * x)  # floor(c * sqrt(x))
     assert sqrt_bound_holds(f, c, x)
     assert not sqrt_bound_holds(f + 1, c, x)
     assert ceil_mul_sqrt(c, x) in (f, f + 1)

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from kdelete import cli
-from kdelete.cli import _bench_grid, bench_point, main
-from kdelete.constructions import petersen
+from kdelete.cli import main
+from kdelete.constructions import cycle, petersen
 from kdelete.errors import EmptyWorkingSet, InvariantViolation
 from kdelete.graphs import MAX_VERTICES, format_edge_list
 from kdelete.oracle import exact_h
@@ -193,6 +193,23 @@ def test_capability_exit_code(capsys, monkeypatch):
     assert code == 3
 
 
+def test_oracle_too_deep_is_refused(capsys, monkeypatch):
+    # The exact search recurses once per vertex, so C_1501 at k = 2 runs
+    # past the interpreter's recursion limit before the forced path ends.
+    code, out, err = run_cli(
+        ["oracle", "h", "--k", "2"], stdin_text=format_edge_list(cycle(1501)),
+        capsys=capsys, monkeypatch=monkeypatch,
+    )
+    assert code == 3
+    assert out == ""
+    refused = [line for line in err.splitlines() if line.startswith("refused:")]
+    assert refused == [
+        "refused: exact search on n=1501 vertices recursed deeper than the "
+        "interpreter allows"
+    ]
+    assert "Traceback" not in err
+
+
 def test_vertex_cap_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(
         ["partition", "--method", "trianglefree", "--k", "2"],
@@ -245,23 +262,6 @@ def test_verify_tiny_passes(capsys, monkeypatch):
     lines = [json.loads(x) for x in out.splitlines()]
     assert all(line["ok"] for line in lines)
     assert "checks passed" in err
-
-
-def test_bench_grid_and_point():
-    points = _bench_grid("oddcycle", seed=0)
-    assert len(points) == 9
-    row = bench_point(points[0])
-    n, k, r, method, deleted, bound, ratio, seconds = row
-    assert method == "oddcycle" and r == 2
-    assert deleted <= bound
-
-
-def test_bench_cli_csv(capsys, monkeypatch):
-    code, out, _ = run_cli(["bench", "--family", "c5blowup"], capsys=capsys)
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "n,k,r,method,deleted,bound,ratio,seconds"
-    assert len(lines) == 1 + 16  # 4 blowups x 4 ks
 
 
 def test_console_script_entry_point():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdelete import constructions as cons
-from kdelete.bounds import E_LOWER, iroot
+from kdelete.bounds import E_LOWER
 from kdelete.cliquefree import (
     partition_clique_free,
     partition_triangle_free,

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from kdelete.graphs import (
     odd_girth,
     parse_edge_list,
 )
+from kdelete.oracle import enumerate_graphs
 
 graphs = st.integers(2, 9).flatmap(
     lambda n: st.sets(
@@ -136,3 +138,51 @@ def test_delete_edges():
     H = K.delete_edges([(0, 1), (2, 3)])
     assert H.m == 4
     assert not (H.adj[0] >> 1 & 1)
+
+
+def _ref_first_cycle(nbrs, length):
+    """Lexicographically least vertex sequence closing a cycle of the given
+    length with its least vertex first and its second vertex below its last,
+    by trying every ordered vertex tuple."""
+    for seq in permutations(range(len(nbrs)), length):
+        if seq[0] == min(seq) and seq[1] < seq[-1] and all(
+            seq[i - 1] in nbrs[seq[i]] for i in range(length)
+        ):
+            return seq
+    return None
+
+
+def test_bitmask_primitives_match_set_reference():
+    # Every labelled graph on up to 5 vertices (1,099 of them), each
+    # primitive against plain adjacency sets.
+    count = 0
+    for n in range(1, 6):
+        for G in enumerate_graphs(n):
+            count += 1
+            nbrs = [set() for _ in range(n)]
+            for u, v in G.edges:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+            for r in range(1, n + 2):
+                want = next((c for c in combinations(range(n), r)
+                             if all(b in nbrs[a] for a, b in combinations(c, 2))),
+                            None)
+                assert find_clique(G, r) == want, (G.edges, r)
+            cycles = {}
+            for length in range(3, n + 2):
+                cycles[length] = _ref_first_cycle(nbrs, length)
+                assert find_cycle_of_length(G, length) == cycles[length], (
+                    G.edges, length)
+            girth = min((c for c in range(3, n + 1, 2) if cycles[c]),
+                        default=math.inf)
+            assert odd_girth(G) == girth, G.edges
+            for vmask in range(1 << n):
+                verts = [v for v in range(n) if vmask >> v & 1]
+                H, back = G.induced(vmask)
+                assert back == tuple(verts)
+                assert H.n == len(verts)
+                assert H.edges == tuple(
+                    (i, j) for i, j in combinations(range(len(verts)), 2)
+                    if verts[j] in nbrs[verts[i]]
+                )
+    assert count == 1099

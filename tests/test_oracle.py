@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdelete import constructions as cons
-from kdelete._rng import derive_seed
 from kdelete.constructions import random_graph
 from kdelete.errors import BudgetExceeded, CapabilityError
 from kdelete.oracle import (

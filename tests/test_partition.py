@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +5,7 @@ from hypothesis import strategies as st
 from kdelete import constructions as cons
 from kdelete.constructions import random_graph
 from kdelete.errors import InvariantViolation
-from kdelete.graphs import degree_sum, edges_inside, mask_of
+from kdelete.graphs import edges_inside, mask_of
 from kdelete.partition import (
     VertexPartition,
     balanced_partition,
