@@ -9,8 +9,7 @@ seed reproduce the output byte for byte (wall time goes to stderr for that
 reason).  `gen` prints an edge list, `oracle` prints a bare integer,
 and `verify` prints one JSON line per check.
 
-Exit codes: 0 ok, 2 usage error, 3 capability/budget/precondition error
-(including an exact search too deep for the interpreter's recursion limit),
+Exit codes: 0 ok, 2 usage error, 3 capability/budget/precondition error,
 4 violated guarantee (a failed verify check, or an InvariantViolation raised
 by any subcommand).
 """

@@ -2,12 +2,15 @@
 
 min_internal_partition / exact_h solve the minimum-deletion k-partition
 problem by branch and bound over canonical assignments (vertex 0 pinned to
-block 0, a new block index only once all earlier ones appear).  exact_h_plain
-re-solves it by unpruned enumeration for cross-checks.  The search is metered:
-every tree node counts against a budget (default 10**7, overridable via the
-KDELETE_BUDGET environment variable) and overruns raise BudgetExceeded rather
-than silently stalling.  The search recurses once per vertex; a search that
-goes deeper than the interpreter's recursion limit raises CapabilityError.
+block 0, a new block index only once all earlier ones appear), pruned by a
+lower bound kept up to date as vertices are assigned and undone.  The search
+keeps its own stack, so its depth is bounded by memory, not by the
+interpreter's recursion limit.  exact_h, which reports only the value, solves
+each connected component on its own.  exact_h_plain re-solves the problem by
+unpruned enumeration for cross-checks.  The search is metered: every tree node
+counts against a budget (default 10**7, overridable via the KDELETE_BUDGET
+environment variable) and overruns raise BudgetExceeded rather than silently
+stalling.
 
 enumerate_graphs yields every labeled graph on up to 7 vertices (optionally
 one representative per isomorphism class for n <= 5), and
@@ -24,7 +27,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import BudgetExceeded, CapabilityError
-from .graphs import Graph, build_graph, edges_inside
+from .graphs import Graph, build_graph, edges_inside, iter_bits
 from .partition import VertexPartition, greedy_complete, trivial_distinct
 
 DEFAULT_BUDGET = 10**7
@@ -50,60 +53,161 @@ def min_internal_partition(
 
     Branch and bound: vertices are assigned in index order, each to an
     existing block or the first unused one (so each partition is enumerated
-    exactly once), pruning as soon as the accumulated cost reaches the best
-    known.  The greedy completion seeds the incumbent.
+    exactly once), and the greedy completion seeds the incumbent.  A child
+    is pruned when cost + extra + rest >= best, where rest sums, over the
+    vertices u still unassigned, min_i |N(u) & B_i| for the blocks B_i
+    after the child's assignment.  Every edge counted in rest has exactly
+    one endpoint assigned, so no completion of the child costs less.  A
+    pruned subtree therefore holds no leaf strictly below the incumbent, the
+    incumbents arrive in the order the bound-free search finds them, and
+    the returned blocks are the ones that search returns.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    cost, blocks, _ = _branch_and_bound(G, k, _resolve_budget(budget))
+    return cost, VertexPartition(G.n, blocks)
+
+
+def _over(limit: int, n: int, k: int) -> BudgetExceeded:
+    return BudgetExceeded(f"exact search exceeded {limit} nodes (n={n}, k={k})")
+
+
+def _branch_and_bound(
+    G: Graph, k: int, limit: int, spent: int = 0
+) -> tuple[int, tuple[int, ...], int]:
+    """The search of min_internal_partition on an explicit stack.
+
+    Returns (cost, blocks, nodes), where nodes is spent plus the tree nodes
+    entered here; more than limit raises BudgetExceeded.  State at depth v
+    (vertices below v assigned): used/cost/rest at v, the block v holds
+    (-1 before its first child), the tight masks to restore on undo, and
+    the vertices whose minimum that assignment raised.  tight[i] holds the
+    unassigned u with |N(u) & B_i| = mn[u], the minimum over all k blocks
+    (empty blocks count 0), so a u in tight[i] alone has its minimum raised
+    by the next neighbour put in B_i, and only such u need counting again.
+    """
     n = G.n
     if n == 0:
-        return 0, VertexPartition(0, (0,) * k)
+        return 0, (0,) * k, spent
     if k >= n:
-        return 0, trivial_distinct(n, k)
-    limit = _resolve_budget(budget)
+        return 0, trivial_distinct(n, k).blocks, spent
     part, _ = greedy_complete(G, [0] * k)
     best_cost = part.internal_count(G)
-    best_blocks = list(part.blocks)
-    blocks = [0] * k
+    best_blocks = part.blocks
+    if best_cost == 0:
+        return 0, best_blocks, spent
     adj = G.adj
-    nodes = 0
-
-    def dfs(v: int, used: int, cost: int) -> None:
-        nonlocal nodes, best_cost, best_blocks
+    later = [a >> (v + 1) << (v + 1) for v, a in enumerate(adj)]
+    blocks = [0] * k
+    tight = [(1 << n) - 1] * k
+    mn = [0] * n
+    used_at = [0] * n
+    cost_at = [0] * n
+    rest_at = [0] * n
+    alone_at = [0] * n
+    held = [-1] * n
+    saved: list = [None] * n
+    raised = [0] * n
+    last = n - 1
+    nodes = spent + 1
+    if nodes > limit:
+        raise _over(limit, n, k)
+    v = 0
+    while v >= 0:
+        cost = cost_at[v]
+        used = used_at[v]
+        top = used + 1 if used < k else k
+        av = adj[v]
+        if v == last:  # every child is a leaf and rest is 0
+            for i in range(top):
+                extra = (av & blocks[i]).bit_count()
+                if cost + extra < best_cost:
+                    nodes += 1
+                    if nodes > limit:
+                        raise _over(limit, n, k)
+                    best_cost = cost + extra
+                    best_blocks = tuple(
+                        b | (1 << v) if j == i else b for j, b in enumerate(blocks)
+                    )
+            v -= 1
+            continue
+        i = held[v]
+        if i < 0:  # first visit: which later neighbours sit in one tight block
+            one = two = 0
+            for t in tight:
+                two |= one & t
+                one |= t
+            alone = alone_at[v] = later[v] & ~two
+        else:  # undo v -> i
+            blocks[i] ^= 1 << v
+            tight = saved[v]
+            up = raised[v]
+            if up:
+                for u in iter_bits(up):
+                    mn[u] -= 1
+            alone = alone_at[v]
+        base = cost + rest_at[v] - mn[v]
+        i += 1
+        while i < top:
+            extra = (av & blocks[i]).bit_count()
+            if cost + extra < best_cost and (
+                base + extra + (alone & tight[i]).bit_count() < best_cost
+            ):
+                break
+            i += 1
+        else:
+            held[v] = -1
+            v -= 1
+            continue
         nodes += 1
         if nodes > limit:
-            raise BudgetExceeded(
-                f"exact search exceeded {limit} nodes (n={n}, k={k})"
-            )
-        if v == n:
-            if cost < best_cost:
-                best_cost = cost
-                best_blocks = blocks.copy()
-            return
-        top = used + 1 if used < k else k
-        bit = 1 << v
-        av = adj[v]
-        for i in range(top):
-            extra = (av & blocks[i]).bit_count()
-            if cost + extra < best_cost:
-                blocks[i] |= bit
-                dfs(v + 1, used + (1 if i == used else 0), cost + extra)
-                blocks[i] ^= bit
-
-    if best_cost > 0:
-        try:
-            dfs(0, 0, 0)
-        except RecursionError:
-            raise CapabilityError(
-                f"exact search on n={n} vertices recursed deeper than the "
-                "interpreter allows"
-            ) from None
-    return best_cost, VertexPartition(n, tuple(best_blocks))
+            raise _over(limit, n, k)
+        held[v] = i
+        blocks[i] |= 1 << v
+        saved[v] = tight
+        tight = tight.copy()
+        hit = later[v] & tight[i]
+        up = raised[v] = hit & alone
+        tight[i] ^= hit ^ up
+        if up:
+            for u in iter_bits(up):
+                m = mn[u] + 1
+                mn[u] = m
+                au = adj[u]
+                for j in range(k):
+                    if j != i and (au & blocks[j]).bit_count() == m:
+                        tight[j] |= 1 << u
+        v += 1
+        used_at[v] = used + (i == used)
+        cost_at[v] = cost + extra
+        rest_at[v] = base - cost + up.bit_count()
+    return best_cost, best_blocks, nodes
 
 
 def exact_h(G: Graph, k: int, budget: Optional[int] = None) -> int:
-    """Minimum number of edge deletions making G k-colorable."""
-    return min_internal_partition(G, k, budget=budget)[0]
+    """Minimum number of edge deletions making G k-colorable.
+
+    h is additive over connected components, so each component is searched
+    on its own and the values summed; the components share one node budget.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    limit = _resolve_budget(budget)
+    total = nodes = 0
+    left = G.full_mask
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            grown = 0
+            for v in iter_bits(frontier):
+                grown |= G.adj[v]
+            frontier = grown & ~comp
+            comp |= frontier
+        left &= ~comp
+        piece = G if comp == G.full_mask else G.induced(comp)[0]
+        cost, _, nodes = _branch_and_bound(piece, k, limit, nodes)
+        total += cost
+    return total
 
 
 def exact_h_plain(G: Graph, k: int) -> int:

@@ -1,11 +1,16 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdelete import constructions as cons
 from kdelete.constructions import random_graph
+from kdelete.corpus import random_n8_suite
 from kdelete.errors import BudgetExceeded, CapabilityError
+from kdelete.graphs import Graph, build_graph
 from kdelete.oracle import (
+    _branch_and_bound,
     canonical_code,
     enumerate_graphs,
     exact_h,
@@ -15,6 +20,7 @@ from kdelete.oracle import (
     min_internal_partition,
     min_uncovered_single,
 )
+from kdelete.partition import VertexPartition, greedy_complete, trivial_distinct
 
 # frozen by hand: h(C5,2)=1 (one odd cycle), h(K4,2)=2, h(K5,2)=4
 # (K5 2-cut leaves C(3,2)+C(2,2)=4), h(Petersen,2)=3, and 3-colorable
@@ -130,3 +136,157 @@ def test_duality_on_small_graphs(small_random_graphs):
         if G.n <= 9:
             for k in (2, 3):
                 assert exact_h(G, k) == G.m - max_k_cut_exact(G, k).crossing
+
+
+def _recursive_min_internal_partition(G, k, budget=10**7):
+    """The recursive branch and bound the explicit-stack search replaced,
+    kept as a reference; returns (cost, blocks, nodes)."""
+    n = G.n
+    if n == 0:
+        return 0, (0,) * k, 0
+    if k >= n:
+        return 0, trivial_distinct(n, k).blocks, 0
+    limit = budget
+    part, _ = greedy_complete(G, [0] * k)
+    best_cost = part.internal_count(G)
+    best_blocks = list(part.blocks)
+    blocks = [0] * k
+    adj = G.adj
+    nodes = 0
+
+    def dfs(v: int, used: int, cost: int) -> None:
+        nonlocal nodes, best_cost, best_blocks
+        nodes += 1
+        if nodes > limit:
+            raise BudgetExceeded(
+                f"exact search exceeded {limit} nodes (n={n}, k={k})"
+            )
+        if v == n:
+            if cost < best_cost:
+                best_cost = cost
+                best_blocks = blocks.copy()
+            return
+        top = used + 1 if used < k else k
+        bit = 1 << v
+        av = adj[v]
+        for i in range(top):
+            extra = (av & blocks[i]).bit_count()
+            if cost + extra < best_cost:
+                blocks[i] |= bit
+                dfs(v + 1, used + (1 if i == used else 0), cost + extra)
+                blocks[i] ^= bit
+
+    if best_cost > 0:
+        try:
+            dfs(0, 0, 0)
+        except RecursionError:
+            raise CapabilityError(
+                f"exact search on n={n} vertices recursed deeper than the "
+                "interpreter allows"
+            ) from None
+    return best_cost, tuple(best_blocks), nodes
+
+
+def _agrees_with_reference(G, k):
+    cost, blocks, nodes = _branch_and_bound(G, k, 10**7)
+    ref_cost, ref_blocks, ref_nodes = _recursive_min_internal_partition(G, k)
+    assert (cost, blocks) == (ref_cost, ref_blocks)
+    assert nodes <= ref_nodes
+    assert min_internal_partition(G, k) == (cost, VertexPartition(G.n, blocks))
+    return nodes, ref_nodes
+
+
+def _mycielski(i: int) -> Graph:
+    # M_2 = K_2; M_{j+1} adds a shadow u' of each u (joined to N(u)) and a
+    # hub joined to every shadow
+    n, edges = 2, [(0, 1)]
+    for _ in range(i - 2):
+        shadows = [(n + u, v) for u, v in edges] + [(n + v, u) for u, v in edges]
+        hub = [(n + u, 2 * n) for u in range(n)]
+        n, edges = 2 * n + 1, edges + shadows + hub
+    return build_graph(n, edges)
+
+
+def _kneser(n: int, r: int) -> Graph:
+    verts = [frozenset(c) for c in combinations(range(n), r)]
+    return build_graph(len(verts), [
+        (a, b) for a, b in combinations(range(len(verts)), 2)
+        if not verts[a] & verts[b]
+    ])
+
+
+def _paley(q: int) -> Graph:
+    return cons.circulant(q, sorted({x * x % q for x in range(1, q)} & set(range(1, q // 2 + 1))))
+
+
+def test_search_matches_reference_on_all_small_graphs():
+    for n in range(1, 6):
+        for G in enumerate_graphs(n):
+            for k in range(1, 5):
+                _agrees_with_reference(G, k)
+
+
+def test_search_matches_reference_on_random_n8_suite():
+    for _, G in random_n8_suite(seed=0):
+        for k in (2, 3):
+            _agrees_with_reference(G, k)
+
+
+@given(st.integers(0, 14), st.floats(0.1, 0.9), st.integers(0, 2**32), st.integers(1, 4))
+def test_search_matches_reference_on_random_graphs(n, p, seed, k):
+    _agrees_with_reference(random_graph(n, p, seed=seed), k)
+
+
+# The exact-certify instances with, per k, the nodes the search and the
+# recursive reference enter; the pins catch a bound that prunes less.
+CERTIFY = [
+    ("c5x6", cons.blow_up(cons.cycle(5), 6), {2: (6044, 357361)}),
+    ("c7x4", cons.blow_up(cons.cycle(7), 4), {2: (919, 8757)}),
+    ("mycielski-5", _mycielski(5), {2: (1035, 28352), 4: (33797, 220476)}),
+    ("kneser-7-2", _kneser(7, 2), {2: (2827, 148501), 4: (3368, 82068)}),
+    ("paley-13", _paley(13), {2: (255, 1282), 3: (588, 2381)}),
+    ("paley-17", _paley(17), {2: (2706, 17351), 3: (6208, 69940)}),
+]
+
+
+@pytest.mark.parametrize("name,G,pins", CERTIFY, ids=[c[0] for c in CERTIFY])
+def test_search_matches_reference_on_certify_instances(name, G, pins):
+    for k, expected in pins.items():
+        assert _agrees_with_reference(G, k) == expected
+
+
+def test_exact_h_splits_components():
+    m5, m4 = _mycielski(5), _mycielski(4)
+    union = cons.disjoint_union([m5, m4])
+    assert exact_h(union, 3) == min_internal_partition(union, 3)[0]
+    assert exact_h(union, 3) == exact_h(m5, 3) + exact_h(m4, 3)
+    triangle_plus = build_graph(6, [(1, 3), (3, 5), (1, 5)])
+    for k in (1, 2, 3):
+        assert exact_h(triangle_plus, k) == min_internal_partition(triangle_plus, k)[0]
+    assert exact_h(triangle_plus, 2) == 1
+    for G in (cons.disjoint_union([cons.cycle(5), cons.complete(4), cons.petersen()]),
+              cons.disjoint_union([cons.blow_up(cons.cycle(5), 2), cons.cycle(7)])):
+        for k in (2, 3):
+            assert exact_h(G, k) == min_internal_partition(G, k)[0]
+
+
+def test_exact_h_components_share_one_budget():
+    c5 = cons.cycle(5)
+    one = _branch_and_bound(c5, 2, 10**7)[2]
+    assert one > 0
+    pair = cons.disjoint_union([c5, c5])
+    assert exact_h(pair, 2, budget=2 * one) == 2
+    with pytest.raises(BudgetExceeded):
+        exact_h(pair, 2, budget=2 * one - 1)
+    with pytest.raises(BudgetExceeded):
+        exact_h(c5, 2, budget=one - 1)
+
+
+def _nested(depth, fn):
+    return fn() if depth == 0 else _nested(depth - 1, fn)
+
+
+def test_exact_h_answers_under_a_deep_caller_stack():
+    # How deep the caller's stack already is must not decide the answer.
+    G = cons.cycle(951)
+    assert _nested(200, lambda: exact_h(G, 2)) == 1
