@@ -9,7 +9,9 @@ as partition seeds.
 
 Three selectors are provided.  select_cover_random replays the probabilistic
 argument directly (best of `trials` uniform draws).  select_cover_greedy is
-plain max-coverage.  select_cover_expectation walks through the random draw
+plain max-coverage: with union U so far and W = N(v) \\ U, center v gains
+e(W, U) + e(G[W]), counted exactly in int64 on the edge arrays, with no
+per-vertex bit loop.  select_cover_expectation walks through the random draw
 one center at a time, always moving to a center whose conditional expected
 uncovered count does not exceed the current one; since the initial
 expectation is below n^2/(e*k), the finished selection satisfies
@@ -33,10 +35,10 @@ chunks to their per-piece subproblems.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -44,7 +46,7 @@ import numpy as np
 from ._rng import SplitMix64, derive_seed
 from .bounds import E_LOWER
 from .errors import CapabilityError, InvariantViolation
-from .graphs import Graph, bits_list, edges_inside, iter_bits
+from .graphs import Graph, bits_list, edges_inside, mask_of
 
 _EXACT_U_LIMIT = 10**7
 # Adjacency entries per block in _common_neighbor_counts: bounds its scratch
@@ -119,6 +121,43 @@ def selection_from_centers(G: Graph, centers: Sequence[int]) -> CoverSelection:
     return CoverSelection(tuple(centers), tuple(sets), uncovered)
 
 
+# What both selectors read off G, built by _edge_arrays; under "best",
+# select_cover builds it once and hands it to both.
+_EdgeArrays = namedtuple("_EdgeArrays", "degree ex ey union_size neighbors packed")
+
+
+def _edge_arrays(G: Graph, k: int) -> _EdgeArrays:
+    """Degrees, edge ends ex < ey, union sizes |N(x) | N(y)| per edge, N(v) as
+    index lists, and the adjacency as little-endian bit rows when some edge
+    has a common neighbour (else None)."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    if G.n == 0:
+        raise ValueError("cannot select centers in an empty graph")
+    n = G.n
+    degree = np.array([a.bit_count() for a in G.adj], dtype=np.int64)
+    ends = np.fromiter(chain.from_iterable(G.edges), dtype=np.intp, count=2 * G.m)
+    ex, ey = ends[0::2], ends[1::2]
+    union_size = np.array(
+        [(G.adj[x] | G.adj[y]).bit_count() for x, y in G.edges], dtype=np.int64
+    )
+    # N(v) as index lists, from the edge arrays rather than bits_list, which
+    # walks the bits one Python step at a time.
+    by_source = np.argsort(np.concatenate((ex, ey)), kind="stable")
+    neighbors = [
+        nb.tolist()
+        for nb in np.split(np.concatenate((ey, ex))[by_source], np.cumsum(degree)[:-1])
+    ]
+    packed = None
+    # An edge lies inside N(v) only when v is a common neighbor of its ends.
+    if np.any(degree[ex] + degree[ey] > union_size):
+        width = (n + 7) // 8
+        packed = np.frombuffer(
+            b"".join(a.to_bytes(width, "little") for a in G.adj), dtype=np.uint8
+        ).reshape(n, width)
+    return _EdgeArrays(degree, ex, ey, union_size, neighbors, packed)
+
+
 def select_cover_random(
     G: Graph, k: int, trials: int = 1, seed: int = 0
 ) -> CoverSelection:
@@ -140,36 +179,40 @@ def select_cover_random(
     return best
 
 
-def select_cover_greedy(G: Graph, k: int) -> CoverSelection:
+def select_cover_greedy(
+    G: Graph, k: int, arrays: Optional[_EdgeArrays] = None
+) -> CoverSelection:
     """k centers picked iteratively, each maximizing the newly covered edge
     count; ties break toward the lowest vertex index.
 
-    With union U so far, adding v covers the edges incident to W = N(v) \\ U
-    that stay inside U | W, i.e. e(W, U) + e(G[W]).
+    With union U so far and W = N(v) \\ U, adding v covers the edges incident
+    to W that stay inside U | W: gain_v = e(W, U) + e(G[W]).  One bincount
+    over the edges gives |N(w) & U| for every w, and a second sums it over the
+    w in W; the weights are integers and every sum stays below n^2 < 2^53, so
+    the float64 sums are exact.  e(G[W]) is the number of edges outside U with
+    v as a common neighbour of both ends (_common_neighbor_counts, one class);
+    it is 0 on a triangle-free graph.  argmax takes the first maximum, the
+    lowest index, as a strict > scan does.  arrays is _edge_arrays(G, k)
+    when the caller already has it.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if G.n == 0:
-        raise ValueError("cannot select centers in an empty graph")
-    union = 0
-    centers = []
+    arrays = arrays or _edge_arrays(G, k)
+    n = G.n
+    ex, ey = arrays.ex, arrays.ey
+    src, dst = np.concatenate((ex, ey)), np.concatenate((ey, ex))
+    in_union = np.zeros(n, dtype=bool)
+    centers: list[int] = []
     for _ in range(k):
-        into_union = [(a & union).bit_count() for a in G.adj]
-        best_v = 0
-        best_gain = -1
-        for v in range(G.n):
-            fresh = G.adj[v] & ~union
-            to_union = 0
-            inside = 0
-            for w in iter_bits(fresh):
-                to_union += into_union[w]
-                inside += (G.adj[w] & fresh).bit_count()
-            gain = to_union + inside // 2
-            if gain > best_gain:
-                best_gain = gain
-                best_v = v
-        centers.append(best_v)
-        union |= G.adj[best_v]
+        into_union = np.bincount(src[in_union[dst]], minlength=n)
+        gain = np.bincount(src, weights=(into_union * ~in_union)[dst], minlength=n)
+        gain = gain.astype(np.int64)
+        fresh = ~(in_union[ex] | in_union[ey])
+        if arrays.packed is not None and fresh.any():
+            for _, inside in _common_neighbor_counts(
+                arrays.packed, ex[fresh], ey[fresh], np.zeros(fresh.sum(), np.intp), 1
+            ):
+                gain += inside
+        centers.append(int(np.argmax(gain)))
+        in_union[arrays.neighbors[centers[-1]]] = True
     return selection_from_centers(G, centers)
 
 
@@ -220,7 +263,9 @@ def _common_neighbor_counts(
         yield c, counts
 
 
-def select_cover_expectation(G: Graph, k: int) -> CoverSelection:
+def select_cover_expectation(
+    G: Graph, k: int, arrays: Optional[_EdgeArrays] = None
+) -> CoverSelection:
     """Derandomized uniform draw: uncovered_edges <= n^2/(e*k) on every run.
 
     Maintains the conditional expectation of the final uncovered count and, at
@@ -242,37 +287,16 @@ def select_cover_expectation(G: Graph, k: int) -> CoverSelection:
     adjacency of n^2/8 bytes, taken in blocks of _BLOCK entries, and one
     big-int multiply-add per (class, v) with a nonzero count.  On a
     triangle-free graph nothing lies inside a neighborhood, and that part is
-    skipped.
+    skipped.  arrays is _edge_arrays(G, k) when the caller already has it.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if G.n == 0:
-        raise ValueError("cannot select centers in an empty graph")
+    arrays = arrays or _edge_arrays(G, k)
     n = G.n
-    degrees = [G.degree(v) for v in range(n)]
-    degree = np.array(degrees, dtype=np.int64)
-    ends = np.array(G.edges, dtype=np.intp).reshape(-1, 2)
-    ex, ey = ends[:, 0], ends[:, 1]
-    union_size = np.array(
-        [(G.adj[x] | G.adj[y]).bit_count() for x, y in G.edges], dtype=np.int64
-    )
-    sizes, edge_class = np.unique(union_size, return_inverse=True)
+    degree, ex, ey = arrays.degree, arrays.ex, arrays.ey
+    degrees = degree.tolist()
+    sizes, edge_class = np.unique(arrays.union_size, return_inverse=True)
     sizes = sizes.tolist()
     classes = len(sizes)
-    # N(v) as index lists, from the edge arrays rather than bits_list, which
-    # walks the bits one Python step at a time.
-    by_source = np.argsort(np.concatenate((ex, ey)), kind="stable")
-    neighbors = [
-        nb.tolist()
-        for nb in np.split(np.concatenate((ey, ex))[by_source], np.cumsum(degree)[:-1])
-    ]
-    # An edge lies inside N(v) only when v is a common neighbor of its ends.
-    has_triangle = bool(np.any(degree[ex] + degree[ey] > union_size))
-    if has_triangle:
-        width = (n + 7) // 8
-        packed = np.frombuffer(
-            b"".join(a.to_bytes(width, "little") for a in G.adj), dtype=np.uint8
-        ).reshape(n, width)
+    neighbors, packed = arrays.neighbors, arrays.packed
 
     uncovered = np.ones(n, dtype=bool)
     centers: list[int] = []
@@ -309,7 +333,7 @@ def select_cover_expectation(G: Graph, k: int) -> CoverSelection:
         # pair_bonus[v]: weight of the active edges inside N(v), which the
         # sum over fresh(v) below counts twice.
         pair_bonus = [0] * n
-        if has_triangle and len(active_class):
+        if packed is not None and len(active_class):
             for c, row in _common_neighbor_counts(
                 packed, ex[active], ey[active], active_class, classes
             ):
@@ -317,14 +341,10 @@ def select_cover_expectation(G: Graph, k: int) -> CoverSelection:
                 for v, cnt in zip(hit.tolist(), row[hit].tolist()):
                     pair_bonus[v] += cnt * weight[c]
 
-        best_v = -1
-        best_val = None
-        for v in range(n):
-            val = now + sum(map(delta.__getitem__, neighbors[v])) - pair_bonus[v]
-            if best_val is None or val < best_val:
-                best_val = val
-                best_v = v
-        assert best_val is not None
+        vals = [now + sum(map(delta.__getitem__, nb)) - pair for nb, pair in
+                zip(neighbors, pair_bonus)]
+        best_val = min(vals)
+        best_v = vals.index(best_val)  # the lowest index, as a strict < scan picks
         if best_val * n > prev:
             raise InvariantViolation(
                 "conditional expectation increased; selection logic is broken"
@@ -346,7 +366,8 @@ def select_cover(
 ) -> CoverSelection:
     """Dispatch by strategy.  "best" takes the expectation-guided selection or
     the max-coverage one, whichever leaves fewer edges uncovered (expectation
-    wins ties so the n^2/(e*k) guarantee is always inherited)."""
+    wins ties so the n^2/(e*k) guarantee is always inherited); both read one
+    set of edge arrays."""
     if strategy == "greedy":
         return select_cover_greedy(G, k)
     if strategy == "random":
@@ -354,8 +375,9 @@ def select_cover(
     if strategy == "expectation":
         return select_cover_expectation(G, k)
     if strategy == "best":
-        exp = select_cover_expectation(G, k)
-        grd = select_cover_greedy(G, k)
+        arrays = _edge_arrays(G, k)
+        exp = select_cover_expectation(G, k, arrays)
+        grd = select_cover_greedy(G, k, arrays)
         return grd if grd.uncovered_edges < exp.uncovered_edges else exp
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
@@ -404,11 +426,8 @@ def even_parts(
     for v, piece in zip(base.centers, base.disjoint_sets):
         verts = bits_list(piece)
         for i in range(0, len(verts), chunk):
-            m = 0
-            for w in verts[i : i + chunk]:
-                m |= 1 << w
             centers.append(v)
-            sets.append(m)
+            sets.append(mask_of(verts[i : i + chunk]))
     if len(sets) > 2 * t:
         raise InvariantViolation(
             f"even_parts produced {len(sets)} > 2t = {2 * t} chunks"

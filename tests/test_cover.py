@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -10,7 +10,7 @@ from kdelete import constructions as cons
 from kdelete._rng import derive_seed
 from kdelete.bounds import E_LOWER
 from kdelete.constructions import random_graph
-from kdelete.corpus import cover_suite, k4_free_suite
+from kdelete.corpus import cover_suite, k4_free_suite, random_n8_suite, windmill
 from kdelete.cover import (
     CoverSelection,
     _scaled_expectation,
@@ -23,7 +23,7 @@ from kdelete.cover import (
     selection_from_centers,
 )
 from kdelete.errors import InvariantViolation
-from kdelete.graphs import Graph, edges_inside, iter_bits
+from kdelete.graphs import Graph, build_graph, edges_inside, iter_bits
 from kdelete.oracle import enumerate_graphs
 
 random_instances = st.builds(
@@ -322,3 +322,80 @@ def test_scaled_expectation_is_the_sum_over_all_center_tuples():
                         for more in product(range(n), repeat=j)
                     )
                     assert _scaled_expectation(n, degree_counts, union_counts, j) == brute
+
+
+def _reference_greedy(G: Graph, k: int) -> CoverSelection:
+    """select_cover_greedy as it was before the edge arrays, verbatim but for
+    its name: a test-only reference for the differential tests below."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    if G.n == 0:
+        raise ValueError("cannot select centers in an empty graph")
+    union = 0
+    centers = []
+    for _ in range(k):
+        into_union = [(a & union).bit_count() for a in G.adj]
+        best_v = 0
+        best_gain = -1
+        for v in range(G.n):
+            fresh = G.adj[v] & ~union
+            to_union = 0
+            inside = 0
+            for w in iter_bits(fresh):
+                to_union += into_union[w]
+                inside += (G.adj[w] & fresh).bit_count()
+            gain = to_union + inside // 2
+            if gain > best_gain:
+                best_gain = gain
+                best_v = v
+        centers.append(best_v)
+        union |= G.adj[best_v]
+    return selection_from_centers(G, centers)
+
+
+def test_greedy_cover_matches_reference_on_all_small_graphs():
+    for n in range(1, 6):
+        for G in enumerate_graphs(n):
+            for k in range(1, 5):
+                assert select_cover_greedy(G, k) == _reference_greedy(G, k)
+
+
+def test_greedy_cover_matches_reference_on_random_n8_suite():
+    for _, G in random_n8_suite():
+        for k in range(1, 9):
+            assert select_cover_greedy(G, k) == _reference_greedy(G, k)
+
+
+def _mycielski(i: int) -> Graph:
+    # M_2 = K_2; M_{j+1} adds a shadow u' of each u (joined to N(u)) and a
+    # hub joined to every shadow
+    n, edges = 2, [(0, 1)]
+    for _ in range(i - 2):
+        shadows = [(n + u, v) for u, v in edges] + [(n + v, u) for u, v in edges]
+        hub = [(n + u, 2 * n) for u in range(n)]
+        n, edges = 2 * n + 1, edges + shadows + hub
+    return build_graph(n, edges)
+
+
+def _kneser(n: int, r: int) -> Graph:
+    verts = [frozenset(c) for c in combinations(range(n), r)]
+    return build_graph(len(verts), [
+        (a, b) for a, b in combinations(range(len(verts)), 2) if not verts[a] & verts[b]
+    ])
+
+
+@pytest.mark.parametrize(
+    "G",
+    [cons.complete_multipartite([8, 8, 8]), _mycielski(5), _kneser(7, 2), windmill(7),
+     cons.disjoint_union([cons.complete(5), cons.complete(5)]),
+     random_graph(16, 0.6, seed=4)],
+    # in 2K5 the second center is chosen by the inside term alone
+    ids=["k888", "mycielski5", "kneser7-2", "windmill7", "2k5", "random16"],
+)
+def test_greedy_cover_matches_reference_with_and_without_triangles(G):
+    for k in range(1, 9):
+        assert select_cover_greedy(G, k) == _reference_greedy(G, k)
+        assert select_cover(G, k) == min(
+            select_cover_expectation(G, k), _reference_greedy(G, k),
+            key=lambda sel: sel.uncovered_edges,
+        )

@@ -57,6 +57,10 @@ PINS = [
      "69b05860e7169cdcbeb9f892aff23ac19610f539cfdf8258deefa1d0f4eeec5f"),
     ("random30", "cover --k 3 --strategy random --trials 4 --seed 2",
      "6b93dc50a49d5c1ecffd1c4bcf9600ce61840ba400dd34b1f84cd2b77daa0bbd"),
+    ("k252525", "cover --k 8 --strategy greedy",
+     "9cabc2f71195108f8cbaebe2397fea42d6c47a26205a3bc448f49e7e6a27a9ca"),
+    ("windmill10", "cover --k 8 --strategy greedy",
+     "df5e655d4e4f6e2d4105f4b33c1bbb330f9c1d21d456fd026f4c3098fcc806f9"),
     ("petersen", "scrub --r 2",
      "39898b4ccb7d30e207dcf4ae5188b7431925662d8cf1084314de28fa527b31e8"),
     ("random12", "scrub --r 2",

@@ -1,14 +1,19 @@
+import contextlib
+import io
 import math
+import sys
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdelete import constructions as cons
+from kdelete.cli import main
 from kdelete.errors import CapabilityError
 from kdelete.graphs import (
     MAX_VERTICES,
+    Graph,
     bits_list,
     build_graph,
     degree_sum,
@@ -178,6 +183,7 @@ def test_bitmask_primitives_match_set_reference():
             assert odd_girth(G) == girth, G.edges
             for vmask in range(1 << n):
                 verts = [v for v in range(n) if vmask >> v & 1]
+                assert degree_sum(G, vmask) == sum(len(nbrs[v]) for v in verts)
                 H, back = G.induced(vmask)
                 assert back == tuple(verts)
                 assert H.n == len(verts)
@@ -186,3 +192,132 @@ def test_bitmask_primitives_match_set_reference():
                     if verts[j] in nbrs[verts[i]]
                 )
     assert count == 1099
+
+
+def _reference_build_graph(n, edge_list):
+    """build_graph as the parser used it before the numpy parser, verbatim
+    but for its name."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    seen = set()
+    for u, v in edge_list:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        if u == v:
+            raise ValueError(f"edge ({u}, {v}) is a self-loop")
+        seen.add((u, v) if u < v else (v, u))
+    edges = tuple(sorted(seen))
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, edges, tuple(adj))
+
+
+def _reference_parse(text):
+    """The line-by-line parse_edge_list the numpy parser replaced, verbatim
+    but for its name and _reference_build_graph."""
+    rows = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            rows.append(line)
+    if not rows:
+        raise ValueError("empty edge-list input")
+    head = rows[0].split()
+    if len(head) != 2:
+        raise ValueError(f"header must be 'n m', got {rows[0]!r}")
+    n, m = int(head[0]), int(head[1])
+    if n > MAX_VERTICES:
+        raise CapabilityError(
+            f"edge lists are limited to {MAX_VERTICES} vertices (header says {n})"
+        )
+    if len(rows) - 1 != m:
+        raise ValueError(f"header announces {m} edges but {len(rows) - 1} lines follow")
+    edges = []
+    for line in rows[1:]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"edge line must be 'u v', got {line!r}")
+        edges.append((int(parts[0]), int(parts[1])))
+    return _reference_build_graph(n, edges)
+
+
+# Digits, signs, '_', '#', blanks (non-ASCII ones too), every str.splitlines()
+# break, a non-ASCII digit, a token beyond int64 and one beyond int()'s
+# default digit limit.
+_PIECES = (
+    list("0123456789-+_#") + [" ", "\t", "\x1f", "\xa0", "\u3000", "\n", "\r", "\r\n"]
+    + ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\u0663"]
+    + ["9" * 20, "7" * 4301]
+)
+_noise = st.lists(st.sampled_from(_PIECES), max_size=30).map("".join)
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """Near-valid edge lists with a few pieces spliced in, so that every
+    check of the parser, not only the header's, gets exercised."""
+    n = draw(st.integers(-1, 7))
+    ends = st.integers(-1, max(n, 0) + 1)  # mostly in range, sometimes -1 or n
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=8))
+    m = len(edges) + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1]))
+    text = "\n".join([f"{n} {m}"] + [f"{u} {v}" for u, v in edges])
+    for piece, at in draw(st.lists(st.tuples(st.sampled_from(_PIECES), st.floats(0, 1)),
+                                   max_size=3)):
+        cut = int(at * len(text))
+        text = text[:cut] + piece + text[cut:]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        G = parse(text)
+    except (ValueError, CapabilityError) as exc:
+        return type(exc), str(exc)
+    return G.n, G.edges, G.adj
+
+
+def test_no_space_above_the_parsers_character_table():
+    # parse_edge_list classifies code points up to U+3000 and reads every
+    # code point above it as part of a token.
+    assert not any(map(str.isspace, map(chr, range(0x3001, sys.maxunicode + 1))))
+
+
+@settings(max_examples=400)
+@given(st.one_of(_edge_list_texts(), _noise))
+def test_parser_matches_line_by_line_reference(text):
+    assert _outcome(parse_edge_list, text) == _outcome(_reference_parse, text)
+
+
+@pytest.mark.parametrize("text", [
+    "3 1\n0 99999999999999999999\n",  # beyond int64: a range error, as before
+    "3 2\n0 99999999999999999999\n1 x\n",  # a bad literal comes first
+    "3 2\n0 99999999999999999999\n1 2 3\n",  # so does a misshapen line
+    "\r#x\n3 1\n0 1 2 # y\n",  # the message quotes the line as written
+    "3 2\r\n0 1\r\n0 1 2\n",  # "\r\n" is one line break
+    "3 1\n0 3\n",  # an endpoint equal to n
+    "3 2\n0 1\n2\n", "3 2\n0\n1 2\n",  # one-token lines
+    "4 0\n", "1 0\r", "2 1\x1c1 1\n", "0 1\n0 0\n", "-5 0\n", "-5 1\n0 x\n",
+    "5 2\n0 1\r\n1 0\n", "\n3 1\n0 1 2\r",
+    # rows wider than a byte
+    pytest.param(format_edge_list(cons.random_graph(20, 0.5, seed=3)), id="random20"),
+])
+def test_parser_matches_reference_on_edge_cases(text):
+    assert _outcome(parse_edge_list, text) == _outcome(_reference_parse, text)
+
+
+@settings(max_examples=15)
+@given(st.one_of(_edge_list_texts(), _noise), st.sampled_from([
+    ["cover", "--k", "2"], ["partition", "--method", "trianglefree", "--k", "2"],
+]))
+def test_cli_exit_codes_on_generated_input(text, argv):
+    err = io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
