@@ -9,9 +9,11 @@ seed reproduce the output byte for byte (wall time goes to stderr for that
 reason).  `gen` prints an edge list, `oracle` prints a bare integer,
 and `verify` prints one JSON line per check.
 
-Exit codes: 0 ok, 2 usage error, 3 capability/budget/precondition error,
-4 violated guarantee (a failed verify check, or an InvariantViolation raised
-by any subcommand).
+Exit codes: 0 ok, 2 usage error, 3 capability/budget/precondition error
+(including inputs over graphs.MAX_VERTICES, read or generated), 4 violated
+guarantee (a failed verify check, or an InvariantViolation raised by any
+subcommand) or any other package error, printed as one line
+`internal error (<class>): ...`.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ from .cliquefree import (
 from .constructions import (
     GENERATORS,
     blow_up,
-    complete_multipartite,
     mixing_check,
     second_eigenvalue,
     spectral_lower_bound,
 )
 from .cover import exact_u, select_cover
 from .errors import CapabilityError, InvariantViolation, KDeleteError, PreconditionError
-from .graphs import Graph, format_edge_list, parse_edge_list
+from .graphs import MAX_VERTICES, Graph, format_edge_list, parse_edge_list
 from .maxcut import local_search_cut, max_k_cut_exact, maxcut_odd_cycle_free
 from .oddgirth import (
     partition_odd_cycle_free,
@@ -74,40 +75,70 @@ def _emit(argv: list[str], digest: str, seed: int, outputs) -> None:
     sys.stdout.write("\n")
 
 
-def _graph_from_spec(raw: str, fallback_seed: int) -> Graph:
+def _generate(kind: str, params: dict, blowup: int) -> Graph:
+    """GENERATORS[kind](**params) blown up `blowup` times.
+
+    The vertex count is read off the parameters and refused above
+    MAX_VERTICES before anything is built; parameters the generator does
+    not take are a usage error.
+    """
+    if blowup < 1:
+        raise ValueError(f"--blowup must be positive (got {blowup})")
+    if kind == "petersen":
+        sizes = [10]
+    else:
+        sizes = params.get("sizes") if kind == "multipartite" else [params.get("n")]
+        if not isinstance(sizes, list) or not all(isinstance(x, int) for x in sizes):
+            field = "sizes" if kind == "multipartite" else "n"
+            raise ValueError(f"kind {kind} needs integer {field}")
+    order = sum(sizes) * blowup
+    if order > MAX_VERTICES:
+        raise CapabilityError(
+            f"gen is limited to {MAX_VERTICES} vertices (asked for {order})"
+        )
+    try:
+        G = GENERATORS[kind](**params)
+    except TypeError as exc:
+        raise ValueError(f"bad parameters for kind {kind}: {exc}") from None
+    return blow_up(G, blowup) if blowup > 1 else G
+
+
+def _graph_from_spec(raw: str, fallback_seed: int, blowup: int) -> Graph:
     spec = json.loads(raw)
-    kind = spec["kind"]
-    if kind not in GENERATORS:
+    if not isinstance(spec, dict):
+        raise ValueError("--spec must be a JSON object")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in GENERATORS:
         raise ValueError(f"unknown generator kind {kind!r}")
-    params = dict(spec.get("params", {}))
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("--spec params must be a JSON object")
+    params = dict(params)
     if kind == "random":
         params.setdefault("seed", spec.get("seed", fallback_seed))
-    return GENERATORS[kind](**params)
+    return _generate(kind, params, blowup)
 
 
 def _cmd_gen(args, argv) -> int:
     if args.spec is not None:
-        G = _graph_from_spec(args.spec, args.seed)
+        G = _graph_from_spec(args.spec, args.seed, args.blowup)
     else:
         kind = args.kind
         if kind is None:
             raise ValueError("gen needs --kind or --spec")
         if kind == "petersen":
-            G = GENERATORS[kind]()
+            params = {}
         elif kind == "multipartite":
             if args.sizes is None:
                 raise ValueError("--kind multipartite needs --sizes a,b,...")
-            G = complete_multipartite([int(s) for s in args.sizes.split(",")])
-        elif kind == "random":
-            if args.n is None:
-                raise ValueError("--kind random needs --n")
-            G = GENERATORS[kind](args.n, args.p, seed=args.seed)
+            params = {"sizes": [int(s) for s in args.sizes.split(",")]}
         else:
             if args.n is None:
                 raise ValueError(f"--kind {kind} needs --n")
-            G = GENERATORS[kind](args.n)
-    if args.blowup > 1:
-        G = blow_up(G, args.blowup)
+            params = {"n": args.n}
+            if kind == "random":
+                params.update(p=args.p, seed=args.seed)
+        G = _generate(kind, params, args.blowup)
     sys.stdout.write(format_edge_list(G))
     return 0
 

@@ -22,7 +22,6 @@ counts); guarantee_holds on the returned report is the exact theorem test.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 from .bounds import E_LOWER, ceil_mul_sqrt, floor_power_bound, iroot
@@ -88,35 +87,48 @@ def partition_triangle_free(
     if verify:
         verify_clique_free(G, 3)
     n = G.n
-    bound = Fraction(n * n) / (E_LOWER * k * k)
-    formula = "n^2/(e*k^2)"
+    meta = {"strategy": strategy}
     if k >= n:
-        return BoundReport(
-            partition=trivial_distinct(n, k),
-            deleted=0,
-            bound=bound,
-            bound_formula=formula,
-            precondition_checked=verify,
-            meta={"strategy": strategy},
+        partition = trivial_distinct(n, k)
+    else:
+        sel = select_cover(G, k, strategy=strategy, trials=trials, seed=seed)
+        partition, added = greedy_complete(G, sel.disjoint_sets, k=k)
+        if added * k > sel.uncovered_edges:
+            raise InvariantViolation("completion exceeded the uncovered-edge average")
+        meta.update(
+            centers=list(sel.centers), uncovered_edges=sel.uncovered_edges, added=added
         )
-    sel = select_cover(G, k, strategy=strategy, trials=trials, seed=seed)
-    partition, added = greedy_complete(G, sel.disjoint_sets, k=k)
-    if added * k > sel.uncovered_edges:
-        raise InvariantViolation("completion exceeded the uncovered-edge average")
-    deleted = partition.internal_count(G)
     return BoundReport(
         partition=partition,
-        deleted=deleted,
-        bound=bound,
-        bound_formula=formula,
+        deleted=partition.internal_count(G),
+        bound=Fraction(n * n) / (E_LOWER * k * k),
+        bound_formula="n^2/(e*k^2)",
         precondition_checked=verify,
-        meta={
-            "strategy": strategy,
-            "centers": list(sel.centers),
-            "uncovered_edges": sel.uncovered_edges,
-            "added": added,
-        },
+        meta=meta,
     )
+
+
+def _divide(
+    G: Graph, k: int, chunks: int, strategy: str, trials: int, seed: int, inner
+) -> tuple[VertexPartition, dict]:
+    """The divide step shared by the clique- and wheel-free partitioners:
+    partition each piece of even_parts(G, chunks) as inner(induced piece),
+    then compose and complete over k blocks.  Returns the partition and the
+    divide-path meta.
+    """
+    parts = even_parts(G, chunks, strategy=strategy, trials=trials, seed=seed)
+    reports = [inner(G.induced(piece)[0]) for piece in parts.disjoint_sets]
+    partition, added = compose_partition(
+        G, parts.disjoint_sets, [rep.partition for rep in reports], k=k
+    )
+    if added * k > parts.uncovered_edges:
+        raise InvariantViolation("completion exceeded the uncovered-edge average")
+    return partition, {
+        "path": "divide",
+        "uncovered_edges": parts.uncovered_edges,
+        "added": added,
+        "inner_deleted": [rep.deleted for rep in reports],
+    }
 
 
 def partition_clique_free(
@@ -146,75 +158,44 @@ def partition_clique_free(
             f"clique-free partitioning is implemented for 3 <= r <= "
             f"{_MAX_CLIQUE_ORDER} (got r={r})"
         )
+    if r == 3:
+        return partition_triangle_free(
+            G, k, strategy=strategy, trials=trials, seed=seed, verify=verify
+        )
     if verify:
         verify_clique_free(G, r)
-    if r == 3:
-        report = partition_triangle_free(
-            G, k, strategy=strategy, trials=trials, seed=seed
-        )
-        return replace(report, precondition_checked=verify)
     n = G.n
-    coeff = Fraction(5 * 4 ** (r - 3), 3) * n * n
-    bound = Fraction(floor_power_bound(coeff, k, r - 1, r - 2))
-    formula = "(5/3)*4^(r-3)*n^2/k^((r-1)/(r-2))"
     if k >= n:
-        return BoundReport(
-            partition=trivial_distinct(n, k),
-            deleted=0,
-            bound=bound,
-            bound_formula=formula,
-            precondition_checked=verify,
-            meta={"r": r, "path": "trivial"},
-        )
-    if k <= (2 * r) ** (r - 2):
+        partition = trivial_distinct(n, k)
+        meta = {"path": "trivial"}
+    elif k <= (2 * r) ** (r - 2):
         partition, added = balanced_partition(G, k)
-        deleted = partition.internal_count(G)
-        if deleted * 2 * k > n * n:
-            raise InvariantViolation("balanced completion exceeded n^2/(2k)")
-        return BoundReport(
-            partition=partition,
-            deleted=deleted,
-            bound=bound,
-            bound_formula=formula,
-            precondition_checked=verify,
-            meta={"r": r, "path": "balanced", "added": added},
+        meta = {"path": "balanced", "added": added}
+    else:
+        # k > (2r)^(r-2) forces t >= 2r, so t stays even and at least 8
+        # here, t**(r-2) <= k, and the inner instances never take the
+        # balanced path before reaching r = 3.
+        t = 2 * (iroot(k, r - 2) // 2)
+        s = t ** (r - 3)
+        partition, meta = _divide(
+            G, k, t // 2, strategy, trials, seed,
+            lambda H: partition_clique_free(
+                H, s, r - 1, strategy=strategy, trials=trials, seed=seed
+            ),
         )
-    # k > (2r)^(r-2) forces t >= 2r, so t stays even and at least 8 here,
-    # t**(r-2) <= k, and the inner instances never take the balanced path
-    # before reaching r = 3.
-    t = 2 * (iroot(k, r - 2) // 2)
-    s = t ** (r - 3)
-    parts = even_parts(G, t // 2, strategy=strategy, trials=trials, seed=seed)
-    inner_reports = []
-    inner_parts = []
-    for piece in parts.disjoint_sets:
-        H, _ = G.induced(piece)
-        rep = partition_clique_free(
-            H, s, r - 1, strategy=strategy, trials=trials, seed=seed
-        )
-        inner_reports.append(rep)
-        inner_parts.append(rep.partition)
-    partition, added = compose_partition(
-        G, parts.disjoint_sets, inner_parts, k=k
-    )
-    if added * k > parts.uncovered_edges:
-        raise InvariantViolation("completion exceeded the uncovered-edge average")
+        meta.update(t=t, s=s)
     deleted = partition.internal_count(G)
+    if meta["path"] == "balanced" and deleted * 2 * k > n * n:
+        raise InvariantViolation("balanced completion exceeded n^2/(2k)")
+    meta["r"] = r
+    coeff = Fraction(5 * 4 ** (r - 3), 3) * n * n
     return BoundReport(
         partition=partition,
         deleted=deleted,
-        bound=bound,
-        bound_formula=formula,
+        bound=Fraction(floor_power_bound(coeff, k, r - 1, r - 2)),
+        bound_formula="(5/3)*4^(r-3)*n^2/k^((r-1)/(r-2))",
         precondition_checked=verify,
-        meta={
-            "r": r,
-            "path": "divide",
-            "t": t,
-            "s": s,
-            "uncovered_edges": parts.uncovered_edges,
-            "added": added,
-            "inner_deleted": [rep.deleted for rep in inner_reports],
-        },
+        meta=meta,
     )
 
 
@@ -240,7 +221,8 @@ def partition_wheel_free(
                               + ceil(100 r^4 sqrt(8 n^3 t))/t^2)
 
     dominates the realized chain with room to spare (the chunk count and
-    sizes are a factor of two better than it assumes).
+    sizes are a factor of two better than it assumes).  k = 1 keeps the
+    whole graph in one block under the trivial ceiling n^2/2.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -250,65 +232,40 @@ def partition_wheel_free(
         verify_wheel_free(G, r)
     n = G.n
     if k == 1:
-        partition = VertexPartition(n, (G.full_mask,))
-        return BoundReport(
-            partition=partition,
-            deleted=G.m,
-            bound=Fraction(n * n, 2),
-            bound_formula="n^2/2",
-            precondition_checked=verify,
-            meta={"r": r, "path": "single"},
+        partition, deleted = VertexPartition(n, (G.full_mask,)), G.m
+        meta = {"path": "single"}
+        bound, formula = Fraction(n * n, 2), "n^2/2"
+    else:
+        j = iroot(k // 2, r + 1)
+        s, t = j, j**r
+        if k >= n:
+            partition, deleted = trivial_distinct(n, k), 0
+            meta = {"path": "trivial"}
+        else:
+            partition, meta = _divide(
+                G, k, t, strategy, trials, seed,
+                lambda H: partition_odd_cycle_free(H, s, r),
+            )
+            # Every scrubbed edge and every block-internal edge of the pieces
+            # is charged, so this dominates the partition's internal count.
+            deleted = sum(meta["inner_deleted"]) + meta["added"]
+            if partition.internal_count(G) > deleted:
+                raise InvariantViolation("deletion accounting missed internal edges")
+            meta.update(s=s, t=t)
+        meta["j"] = j
+        quad = 16 * (12 * r) ** r * Fraction(n * n, t * t * s ** (r + 1))
+        scrub = Fraction(ceil_mul_sqrt(100 * r**4, 8 * n**3 * t), t * t)
+        bound = 2 * Fraction(n * n) / (E_LOWER * s * t * t) + t * (quad + scrub)
+        formula = (
+            "2n^2/(e*s*t^2) + t*(16*(12r)^r*n^2/(t^2*s^(r+1))"
+            " + ceil(100*r^4*sqrt(8*n^3*t))/t^2)"
         )
-    j = iroot(k // 2, r + 1)
-    s, t = j, j**r
-    quad = 16 * (12 * r) ** r * Fraction(n * n, t * t * s ** (r + 1))
-    scrub = Fraction(ceil_mul_sqrt(100 * r**4, 8 * n**3 * t), t * t)
-    bound = 2 * Fraction(n * n) / (E_LOWER * s * t * t) + t * (quad + scrub)
-    formula = (
-        "2n^2/(e*s*t^2) + t*(16*(12r)^r*n^2/(t^2*s^(r+1))"
-        " + ceil(100*r^4*sqrt(8*n^3*t))/t^2)"
-    )
-    if k >= n:
-        return BoundReport(
-            partition=trivial_distinct(n, k),
-            deleted=0,
-            bound=bound,
-            bound_formula=formula,
-            precondition_checked=verify,
-            meta={"r": r, "path": "trivial", "j": j},
-        )
-    parts = even_parts(G, t, strategy=strategy, trials=trials, seed=seed)
-    inner_reports = []
-    inner_parts = []
-    for piece in parts.disjoint_sets:
-        H, _ = G.induced(piece)
-        rep = partition_odd_cycle_free(H, s, r)
-        inner_reports.append(rep)
-        inner_parts.append(rep.partition)
-    partition, added = compose_partition(
-        G, parts.disjoint_sets, inner_parts, k=k
-    )
-    if added * k > parts.uncovered_edges:
-        raise InvariantViolation("completion exceeded the uncovered-edge average")
-    # Every scrubbed edge and every block-internal edge of the pieces is
-    # charged, so this dominates the partition's internal count on G.
-    deleted = sum(rep.deleted for rep in inner_reports) + added
-    if partition.internal_count(G) > deleted:
-        raise InvariantViolation("deletion accounting missed internal edges")
+    meta["r"] = r
     return BoundReport(
         partition=partition,
         deleted=deleted,
         bound=bound,
         bound_formula=formula,
         precondition_checked=verify,
-        meta={
-            "r": r,
-            "path": "divide",
-            "j": j,
-            "s": s,
-            "t": t,
-            "uncovered_edges": parts.uncovered_edges,
-            "added": added,
-            "inner_deleted": [rep.deleted for rep in inner_reports],
-        },
+        meta=meta,
     )

@@ -216,53 +216,42 @@ def partition_odd_girth(
             raise OddGirthTooSmall(
                 f"odd girth {og} is not above {2 * r + 1}", witness=og
             )
-    bound = Fraction(4 * (12 * r) ** r * n * n, k ** (r + 1))
-    formula = "4*(12r)^r*n^2/k^(r+1)"
+    trajectory = [degree_sum(G, G.full_mask)]
+    meta = {"r": r, "trajectory": trajectory}
     if k >= n:
-        return BoundReport(
-            partition=trivial_distinct(n, k),
-            deleted=0,
-            bound=bound,
-            bound_formula=formula,
-            precondition_checked=verify,
-            meta={"r": r, "trajectory": [degree_sum(G, G.full_mask)]},
+        partition = trivial_distinct(n, k)
+    else:
+        seeds: list[int] = []
+        cur = G.full_mask
+        rounds = 0
+        for _ in range(k):
+            d_cur = degree_sum(G, cur)
+            if d_cur == 0:
+                seeds.append(0)
+                trajectory.append(0)
+                continue
+            res = extract_independent_set(G, cur, r)
+            seeds.append(res.amask)
+            cur &= ~res.amask
+            d_next = degree_sum(G, cur)
+            if not decay_step_holds(d_cur, d_next, n, r):
+                raise InvariantViolation("degree-mass decay step failed")
+            trajectory.append(d_next)
+            rounds += len(res.witnesses)
+        d_final = degree_sum(G, cur)
+        partition, added = greedy_complete(G, seeds, k=k)
+        if added * k > d_final:
+            raise InvariantViolation("greedy completion exceeded the leftover mass")
+        meta.update(
+            added=added, leftover_bound=Fraction(d_final, k), peel_rounds=rounds
         )
-    seeds: list[int] = []
-    cur = G.full_mask
-    trajectory = [degree_sum(G, cur)]
-    rounds = 0
-    for _ in range(k):
-        d_cur = degree_sum(G, cur)
-        if d_cur == 0:
-            seeds.append(0)
-            trajectory.append(0)
-            continue
-        res = extract_independent_set(G, cur, r)
-        seeds.append(res.amask)
-        cur &= ~res.amask
-        d_next = degree_sum(G, cur)
-        if not decay_step_holds(d_cur, d_next, n, r):
-            raise InvariantViolation("degree-mass decay step failed")
-        trajectory.append(d_next)
-        rounds += len(res.witnesses)
-    d_final = degree_sum(G, cur)
-    partition, added = greedy_complete(G, seeds, k=k)
-    if added * k > d_final:
-        raise InvariantViolation("greedy completion exceeded the leftover mass")
-    deleted = partition.internal_count(G)
     return BoundReport(
         partition=partition,
-        deleted=deleted,
-        bound=bound,
-        bound_formula=formula,
+        deleted=partition.internal_count(G),
+        bound=Fraction(4 * (12 * r) ** r * n * n, k ** (r + 1)),
+        bound_formula="4*(12r)^r*n^2/k^(r+1)",
         precondition_checked=verify,
-        meta={
-            "r": r,
-            "trajectory": trajectory,
-            "added": added,
-            "leftover_bound": Fraction(d_final, k),
-            "peel_rounds": rounds,
-        },
+        meta=meta,
     )
 
 

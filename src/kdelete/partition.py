@@ -10,8 +10,10 @@ builders shared by all of them:
                        internal edges
 * compose_partition -- lift per-piece partitions into seed blocks and finish
                        with greedy_complete
-* random_partition  -- best-of-trials uniform labeling with a greedy floor
 * balanced_partition -- greedy from empty seeds; internal edges <= m/k
+
+random_partition (best-of-trials uniform labeling with a greedy floor) is
+used by the tests only; no partitioner builds on it.
 """
 
 from __future__ import annotations

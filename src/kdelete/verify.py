@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 from time import perf_counter
 from typing import Callable
@@ -51,6 +52,10 @@ from .oddgirth import (
 from .oracle import exact_h, mantel_worst_uncovered, min_uncovered_single
 
 TIERS = ("tiny", "small", "desk")
+
+# Detail suffixes of the partitioner checks used at more than one tier.
+_TRIANGLE_FREE = "triangle-free runs under n^2/(e k^2)"
+_WHEEL_FREE = "wheel-free runs under the composed ceiling"
 
 
 @dataclass(frozen=True)
@@ -146,14 +151,14 @@ def _check_heuristics_above_h(graphs, ks) -> str:
     return f"{count} heuristic runs at or above exact h"
 
 
-def _check_triangle_free(graphs, ks, verify_structure=False) -> str:
+def _check_partitioner(graphs, ks, partitioner, ceiling) -> str:
+    """partitioner(G, k) meets its proved ceiling on every graph and k."""
     count = 0
     for name, G in graphs:
         for k in ks:
-            rep = partition_triangle_free(G, k, verify=verify_structure)
-            rep.require()
+            partitioner(G, k).require()
             count += 1
-    return f"{count} triangle-free runs under n^2/(e k^2)"
+    return f"{count} {ceiling}"
 
 
 def _check_odd_girth(graphs, ks, r) -> str:
@@ -301,24 +306,6 @@ def _check_split_driver(graphs, r) -> str:
     return f"{count} split-driver runs at or above m/2"
 
 
-def _check_clique_free(graphs, ks, r) -> str:
-    count = 0
-    for name, G in graphs:
-        for k in ks:
-            partition_clique_free(G, k, r).require()
-            count += 1
-    return f"{count} clique-free runs under (5/3) 4^(r-3) n^2 / k^((r-1)/(r-2))"
-
-
-def _check_wheel_free(graphs, ks, r) -> str:
-    count = 0
-    for name, G in graphs:
-        for k in ks:
-            partition_wheel_free(G, k, r).require()
-            count += 1
-    return f"{count} wheel-free runs under the composed ceiling"
-
-
 def _check_single_cover_worst(ns) -> str:
     details = []
     for n in ns:
@@ -354,8 +341,9 @@ def build_checks(tier: str, seed: int = 0) -> list[tuple[str, Callable[[], str]]
             ("heuristic-above-h", lambda: _check_heuristics_above_h(n8[:10], (2, 3))),
             (
                 "triangle-free-small",
-                lambda: _check_triangle_free(
-                    corpus.triangle_free_suite(seed)[:6], (2, 3), True
+                lambda: _check_partitioner(
+                    corpus.triangle_free_suite(seed)[:6], (2, 3),
+                    partial(partition_triangle_free, verify=True), _TRIANGLE_FREE,
                 ),
             ),
             (
@@ -379,7 +367,10 @@ def build_checks(tier: str, seed: int = 0) -> list[tuple[str, Callable[[], str]]
             ("driver-bipartite", _check_driver_bipartite),
             (
                 "wheel-free-small",
-                lambda: _check_wheel_free([("c5[4]", blow_up(cycle(5), 4))], (6,), 1),
+                lambda: _check_partitioner(
+                    [("c5[4]", blow_up(cycle(5), 4))], (6,),
+                    partial(partition_wheel_free, r=1), _WHEEL_FREE,
+                ),
             ),
         ]
     if small:
@@ -390,8 +381,9 @@ def build_checks(tier: str, seed: int = 0) -> list[tuple[str, Callable[[], str]]
             ),
             (
                 "triangle-free-full",
-                lambda: _check_triangle_free(
-                    corpus.triangle_free_suite(seed), (2, 3, 4, 6)
+                lambda: _check_partitioner(
+                    corpus.triangle_free_suite(seed), (2, 3, 4, 6),
+                    partition_triangle_free, _TRIANGLE_FREE,
                 ),
             ),
             (
@@ -424,8 +416,10 @@ def build_checks(tier: str, seed: int = 0) -> list[tuple[str, Callable[[], str]]
         checks += [
             (
                 "clique-free-theorem",
-                lambda: _check_clique_free(
-                    corpus.k4_free_suite(), (66, 128, 256), 4
+                lambda: _check_partitioner(
+                    corpus.k4_free_suite(), (66, 128, 256),
+                    partial(partition_clique_free, r=4),
+                    "clique-free runs under (5/3) 4^(r-3) n^2 / k^((r-1)/(r-2))",
                 ),
             ),
             ("single-cover-worst", lambda: _check_single_cover_worst((4, 5, 6, 7))),
@@ -435,13 +429,14 @@ def build_checks(tier: str, seed: int = 0) -> list[tuple[str, Callable[[], str]]
             ),
             (
                 "wheel-free-full",
-                lambda: _check_wheel_free(
+                lambda: _check_partitioner(
                     [
                         ("c5[20]", blow_up(cycle(5), 20)),
                         ("k200-200", complete_bipartite(100, 100)),
                     ],
                     (16, 40),
-                    1,
+                    partial(partition_wheel_free, r=1),
+                    _WHEEL_FREE,
                 ),
             ),
         ]

@@ -48,6 +48,62 @@ def test_gen_blowup(capsys, monkeypatch):
     assert out.splitlines()[0] == "10 20"
 
 
+@pytest.mark.parametrize("spec", [
+    '{"params":{}}',
+    "[1]",
+    '{"kind":"cycle","params":{"x":1}}',
+    '{"kind":"cycle","params":{"n":"5"}}',
+])
+def test_gen_bad_spec_is_a_usage_error(spec, capsys):
+    code, out, err = run_cli(["gen", "--spec", spec], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("blowup", ["0", "-3"])
+def test_gen_blowup_must_be_positive(blowup, capsys):
+    code, out, err = run_cli(
+        ["gen", "--kind", "cycle", "--n", "5", "--blowup", blowup], capsys=capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: --blowup must be positive")
+
+
+def _refuse_to_build(monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("gen built a graph")
+
+    for kind in list(cli.GENERATORS):
+        monkeypatch.setitem(cli.GENERATORS, kind, built)
+    monkeypatch.setattr(cli, "blow_up", built)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "complete", "--n", "100000"],
+    ["--kind", "multipartite", "--sizes", f"{MAX_VERTICES // 2},{MAX_VERTICES // 2 + 1}"],
+    ["--kind", "cycle", "--n", str(MAX_VERTICES // 2 + 1), "--blowup", "2"],
+    ["--kind", "petersen", "--blowup", str(MAX_VERTICES // 10 + 1)],
+    ["--spec", f'{{"kind":"complete","params":{{"n":{MAX_VERTICES + 1}}}}}'],
+    ["--spec", f'{{"kind":"multipartite","params":{{"sizes":[{MAX_VERTICES},1]}}}}'],
+    ["--spec", '{"kind":"random","params":{"n":4000,"p":0.5}}', "--blowup", "3"],
+])
+def test_gen_vertex_cap_refuses_before_building(argv, capsys, monkeypatch):
+    _refuse_to_build(monkeypatch)
+    code, out, err = run_cli(["gen", *argv], capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert f"refused: gen is limited to {MAX_VERTICES} vertices" in err
+
+
+def test_gen_vertex_cap_admits_the_cap_itself(capsys, monkeypatch):
+    _refuse_to_build(monkeypatch)
+    with pytest.raises(AssertionError, match="gen built a graph"):
+        main(["gen", "--kind", "cycle", "--n", str(MAX_VERTICES // 2), "--blowup", "2"])
+
+
 def test_oracle_h_bare_integer(capsys, monkeypatch):
     code, out, _ = run_cli(
         ["oracle", "h", "--k", "2"], stdin_text=C5_TEXT, capsys=capsys,

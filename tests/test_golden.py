@@ -87,6 +87,25 @@ PINS = [
      "68ca3fba3b7e864770cb61aeb306d4bd4354b68ab4dd38450860c5d823e42a53"),
     ("random12", "oracle u --k 2",
      "3840bc236ee03aacbb1ef7d5108ddfa347c59f10b68d4174affbb53140f31273"),
+    # One pin per partitioner branch the pins above leave out: the k >= n
+    # trivial returns, r = 3 through the clique entry with its precondition
+    # check, the one-block wheel path and the wheel divide at r = 2.
+    ("petersen", "partition --method trianglefree --k 12",
+     "9508dc8597ab5a545c002dc252e8a86591c22b3d6d00ebf44a3dd05eee594299"),
+    ("petersen", "partition --method clique --r 3 --k 3 --verify-preconditions",
+     "029649731c022770529be4aef29728114d355c906e7914b564ab023e1a87c8dd"),
+    ("petersen", "partition --method clique --r 4 --k 30",
+     "a86b02e2aa727786660cde85e4d50d0058dc9c5ed1246115cd665a1d1f0459f5"),
+    ("petersen", "partition --method wheel --r 1 --k 1",
+     "a0a2cdcf0f1ef3898ac6d12d3e2a3d47c824df00399711efb64005ae303eb018"),
+    ("petersen", "partition --method wheel --r 1 --k 12",
+     "43327bf495a2a1d2c58b205c15b0b0841324817a40ddad3e008171fb270b2509"),
+    ("c5x4", "partition --method wheel --r 2 --k 16",
+     "81b09418720c5d0a71731c5d16e7e55e99ef3db1115c42643ca3a2bc3bb3ddbf"),
+    ("c9", "partition --method oddgirth --r 2 --k 9",
+     "206802fa9eb90cf0fdea25eed90ad31150858a4efa7ace02ee0a83bb3b4846f0"),
+    ("c9", "partition --method oddcycle --r 1 --k 10",
+     "7afa5886dfcf9cc1650d7f6d131b26bfbb26074f3cc5cf0e223949d253bb40d7"),
 ]
 
 

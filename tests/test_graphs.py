@@ -307,9 +307,24 @@ def test_parser_matches_reference_on_edge_cases(text):
     assert _outcome(parse_edge_list, text) == _outcome(_reference_parse, text)
 
 
-@settings(max_examples=15)
-@given(st.one_of(_edge_list_texts(), _noise), st.sampled_from([
+@st.composite
+def _graph_texts(draw):
+    """Valid edge lists, so that the commands run past the parser."""
+    n = draw(st.integers(2, 7))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=21))
+    return format_edge_list(build_graph(n, edges))
+
+
+@settings(max_examples=120)
+@given(st.one_of(_edge_list_texts(), _noise, _graph_texts()), st.sampled_from([
     ["cover", "--k", "2"], ["partition", "--method", "trianglefree", "--k", "2"],
+    ["partition", "--method", "clique", "--r", "4", "--k", "2"],
+    ["partition", "--method", "wheel", "--r", "1", "--k", "2"],
+    ["partition", "--method", "oddgirth", "--r", "1", "--k", "2"],
+    ["partition", "--method", "oddcycle", "--r", "2", "--k", "2"],
+    ["maxcut", "--method", "local"], ["maxcut", "--method", "exact"],
+    ["maxcut", "--method", "driver", "--r", "2"],
+    ["scrub", "--r", "2"], ["oracle", "h", "--k", "2"],
 ]))
 def test_cli_exit_codes_on_generated_input(text, argv):
     err = io.StringIO()
