@@ -10,10 +10,11 @@ reason).  `gen` prints an edge list, `oracle` prints a bare integer,
 and `verify` prints one JSON line per check.
 
 Exit codes: 0 ok, 2 usage error, 3 capability/budget/precondition error
-(including inputs over graphs.MAX_VERTICES, read or generated), 4 violated
-guarantee (a failed verify check, or an InvariantViolation raised by any
-subcommand) or any other package error, printed as one line
-`internal error (<class>): ...`.
+(including inputs over graphs.MAX_VERTICES, read or generated, any --k, --l
+or --r over it, and `oracle lambda`/`oracle spectral` on more than 2,000
+vertices), 4 violated guarantee (a failed verify check, or an
+InvariantViolation raised by any subcommand) or any other package error,
+printed as one line `internal error (<class>): ...`.
 """
 
 from __future__ import annotations
@@ -331,6 +332,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        for name in ("k", "l", "r"):
+            value = getattr(args, name, None)
+            if value is not None and value > MAX_VERTICES:
+                raise CapabilityError(
+                    f"--{name} is limited to {MAX_VERTICES} (asked for {value})"
+                )
         return args.func(args, argv)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

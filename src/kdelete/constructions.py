@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._rng import SplitMix64, derive_seed
-from .errors import InvariantViolation, PreconditionError
+from .errors import CapabilityError, InvariantViolation, PreconditionError
 from .graphs import Graph, build_graph, edges_between
 from .serialize import fraction_str
 
@@ -129,6 +129,8 @@ GENERATORS: dict[str, Callable[..., Graph]] = {
 # ---------------------------------------------------------------------------
 # spectral machinery
 
+_SPECTRAL_LIMIT = 2_000
+
 
 @dataclass(frozen=True)
 class SpectralProfile:
@@ -157,7 +159,17 @@ class SpectralProfile:
 
 
 def second_eigenvalue(G: Graph) -> SpectralProfile:
+    """Profile of the adjacency spectrum from one dense eigh.
+
+    Refuses more than _SPECTRAL_LIMIT vertices before building the n x n
+    matrix: at MAX_VERTICES the eigh would take minutes and gigabytes.
+    """
     n = G.n
+    if n > _SPECTRAL_LIMIT:
+        raise CapabilityError(
+            f"the dense eigendecomposition is limited to {_SPECTRAL_LIMIT} "
+            f"vertices (got {n})"
+        )
     degs = [G.degree(v) for v in range(n)]
     regular = n > 0 and len(set(degs)) == 1
     d = degs[0] if regular else None
@@ -176,8 +188,8 @@ def second_eigenvalue(G: Graph) -> SpectralProfile:
     return SpectralProfile(n, d, lam, residual)
 
 
-def _ceil_decimal(x: float, digits: int = 12) -> Fraction:
-    scale = 10**digits
+def _ceil_decimal(x: float) -> Fraction:
+    scale = 10**12
     return Fraction(math.ceil(Fraction(x) * scale), scale)
 
 

@@ -165,14 +165,12 @@ def edges_inside(G: Graph, S: int) -> int:
     return edges_between(G, S, S) // 2
 
 
-def neighborhood(G: Graph, S: int, within: Optional[int] = None) -> int:
+def neighborhood(G: Graph, S: int) -> int:
     """Union of neighborhoods of the masked set, minus the set itself."""
-    if within is None:
-        within = G.full_mask
     nb = 0
     for u in iter_bits(S):
         nb |= G.adj[u]
-    return nb & within & ~S
+    return nb & ~S
 
 
 def odd_girth(G: Graph) -> float:

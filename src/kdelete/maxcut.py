@@ -66,7 +66,7 @@ class CutResult:
         }
 
 
-def max_k_cut_exact(G: Graph, k: int, budget=None) -> CutResult:
+def max_k_cut_exact(G: Graph, k: int) -> CutResult:
     """Provably maximum k-cut via the branch-and-bound deletion oracle.
 
     Only the first vertex's label is pinned, so the state space is k**(n-1);
@@ -78,7 +78,7 @@ def max_k_cut_exact(G: Graph, k: int, budget=None) -> CutResult:
         raise CapabilityError(
             f"exact max-k-cut needs k**(n-1) <= {_EXACT_CUT_LIMIT}"
         )
-    internal, part = min_internal_partition(G, k, budget=budget)
+    internal, part = min_internal_partition(G, k)
     return CutResult(
         partition=part,
         crossing=G.m - internal,
@@ -209,64 +209,44 @@ def _ce_grouping(w: list[list[int]], sizes: tuple[int, ...]) -> list[list[int]]:
     """Conditional-expectation greedy: place each label in the group that
     minimizes the expected internal weight of a random equitable completion.
 
-    All expectations are compared after scaling by R'(R'-1) > 0 (R' labels
-    left after the current one), which clears every denominator and keeps
-    the comparison in exact integers; the final grouping is therefore at
-    most the initial expectation, i.e. internal <= sum C(s_i,2)/C(k,2) * W.
+    With R labels left after the current one, a group's score is the
+    expected weight that u and those labels add, times max(R,1) *
+    max(R-1,1): the factor is the same for every group and makes each score
+    an integer, so the comparison stays exact and the first minimal group
+    wins.  The final grouping is therefore at most the initial expectation,
+    i.e. internal <= sum C(s_i,2)/C(k,2) * W.
     """
     k = len(w)
     l = len(sizes)
     groups: list[list[int]] = [[] for _ in range(l)]
     cap = list(sizes)
-    row_total = [sum(w[u]) for u in range(k)]
-    # W_g(v): weight from unassigned v to group g; S_g = sum over unassigned;
-    # U2 = total weight between unassigned pairs.
+    # wg[v][h]: weight from v to the labels placed in group h; s[h]: its sum
+    # over the labels left; pairs: the weight among the labels left.
     wg = [[0] * l for _ in range(k)]
-    s_g = [0] * l
-    u2 = sum(row_total) // 2
-    unassigned = set(range(k))
+    s = [0] * l
+    pairs = sum(map(sum, w)) // 2
     for u in range(k):
-        unassigned.discard(u)
-        rprime = len(unassigned)
-        row_u = sum(w[u][v] for v in unassigned)
-        best_g, best_score = -1, None
-        for g in range(l):
-            if cap[g] == 0:
-                continue
-            if rprime >= 2:
-                term_assigned = 0
-                term_pairs = 0
-                for gp in range(l):
-                    cp = cap[gp] - (1 if gp == g else 0)
-                    term_assigned += cp * (s_g[gp] - wg[u][gp])
-                    term_pairs += cp * (cp - 1)
-                score = (
-                    wg[u][g] * rprime * (rprime - 1)
-                    + (rprime - 1) * term_assigned
-                    + (rprime - 1) * (cap[g] - 1) * row_u
-                    + (u2 - row_u) * term_pairs
-                )
-            elif rprime == 1:
-                v = next(iter(unassigned))
-                gv = g
-                for gp in range(l):
-                    cp = cap[gp] - (1 if gp == g else 0)
-                    if cp > 0:
-                        gv = gp
-                        break
-                score = wg[u][g] + wg[v][gv] + (w[u][v] if gv == g else 0)
-            else:
-                score = wg[u][g]
-            if best_score is None or score < best_score:
-                best_g, best_score = g, score
-        groups[best_g].append(u)
-        cap[best_g] -= 1
-        for v in unassigned:
-            wg[v][best_g] += w[u][v]
-        s_g = [
-            sum(wg[v][g] for v in unassigned) for g in range(l)
-        ]
-        u2 -= row_u
+        left = range(u + 1, k)
+        R = len(left)
+        row_u = sum(w[u][v] for v in left)
+        pairs -= row_u
+        s = [s[h] - wg[u][h] for h in range(l)]
+
+        def score(g: int) -> int:
+            c = [cap[h] - (h == g) for h in range(l)]
+            return (
+                wg[u][g] * max(R, 1) * max(R - 1, 1)
+                + max(R - 1, 1)
+                * sum(c[h] * (s[h] + (h == g) * row_u) for h in range(l))
+                + pairs * sum(ch * (ch - 1) for ch in c)
+            )
+
+        best = min((g for g in range(l) if cap[g]), key=score)
+        groups[best].append(u)
+        cap[best] -= 1
+        for v in left:
+            wg[v][best] += w[u][v]
+        s[best] += row_u
     return groups
 
 
@@ -293,17 +273,13 @@ def coarsen_cut(G: Graph, fine: VertexPartition, l: int) -> CutResult:
         )
     sizes = balanced_group_sizes(k, l)
     w = _pair_weights(G, fine)
-    candidates: list[tuple[int, str, list[list[int]]]] = []
-    ce = _ce_grouping(w, sizes)
-    candidates.append((_grouping_internal(w, ce), "coarsen-ce", ce))
+    groups = _ce_grouping(w, sizes)
+    internal, method = _grouping_internal(w, groups), "coarsen-ce"
     if _grouping_count(k, sizes) <= _GROUPING_ENUM_LIMIT:
-        best = None
         for grouping in _enumerate_groupings(k, sizes):
             got = _grouping_internal(w, grouping)
-            if best is None or got < best[0]:
-                best = (got, [list(g) for g in grouping])
-        candidates.append((best[0], "coarsen-exhaustive", best[1]))
-    internal, method, groups = min(candidates, key=lambda c: c[0])
+            if got < internal:
+                internal, method, groups = got, "coarsen-exhaustive", grouping
     blocks = []
     for g in groups:
         m = 0
@@ -399,13 +375,9 @@ def surplus_compose(
             raise ValueError("every piece needs exactly l blocks")
         verts = bits_list(mask)
         lifted = lift_blocks(verts, part)
-        piece_m = sum(
-            edges_between(G, lifted[i], lifted[j])
-            for i in range(l)
-            for j in range(i + 1, l)
-        )
-        inner_edges += edges_inside(G, mask)
-        inner_crossing += piece_m
+        piece_edges = edges_inside(G, mask)
+        inner_edges += piece_edges
+        inner_crossing += piece_edges - sum(edges_inside(G, b) for b in lifted)
         match = [
             [edges_between(G, lb, tb) for tb in totals] for lb in lifted
         ]
@@ -433,6 +405,13 @@ def surplus_compose(
     )
 
 
+def _no_edge_cut(G: Graph) -> CutResult:
+    """The two-cut of an edgeless graph: every vertex on one side."""
+    return CutResult(
+        VertexPartition(G.n, (G.full_mask, 0)), 0, "trivial", {"k": 2}
+    )
+
+
 def maxcut_dense_driver(G: Graph, r: int, seed: int = 0) -> CutResult:
     """Two-cut of a (2r+1)-cycle-free graph that beats m/2 by m/(4(k-1)) in
     the dense regime.
@@ -452,12 +431,7 @@ def maxcut_dense_driver(G: Graph, r: int, seed: int = 0) -> CutResult:
         raise ValueError("r must be positive")
     n, m = G.n, G.m
     if m == 0:
-        return CutResult(
-            partition=VertexPartition(n, (G.full_mask, 0)),
-            crossing=0,
-            method="trivial",
-            meta={"k": 2},
-        )
+        return _no_edge_cut(G)
     c_r = 4 * (12 * r) ** r + (100 * r**4 if r >= 2 else 0)
     need = (2 * c_r * n * n + m - 1) // m
     k0 = iroot(need, r)
@@ -509,12 +483,7 @@ def maxcut_odd_cycle_free(G: Graph, r: int, seed: int = 0) -> CutResult:
         raise ValueError("r must be positive")
     n, m = G.n, G.m
     if m == 0:
-        return CutResult(
-            partition=VertexPartition(n, (G.full_mask, 0)),
-            crossing=0,
-            method="trivial",
-            meta={"k": 2},
-        )
+        return _no_edge_cut(G)
     core = 0
     msq = m * m
     for v in range(n):

@@ -65,16 +65,6 @@ class ExpansionWitness:
         size_s = self.smask.bit_count()
         return self.g**self.r * self.d_s <= self.d_b**self.r * size_s * n
 
-    def to_json(self):
-        return {
-            "center": self.center,
-            "layer": self.layer,
-            "set_size": self.bmask.bit_count(),
-            "d_s": self.d_s,
-            "d_b": self.d_b,
-            "g": self.g,
-        }
-
 
 def find_poor_expansion_set(G: Graph, smask: int, r: int) -> ExpansionWitness:
     """BFS layer inside S whose next layer fails the x-expansion test.

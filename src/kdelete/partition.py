@@ -12,7 +12,7 @@ builders shared by all of them:
                        with greedy_complete
 * balanced_partition -- greedy from empty seeds; internal edges <= m/k
 
-random_partition (best-of-trials uniform labeling with a greedy floor) is
+random_partition (one uniform labeling with a greedy floor) is
 used by the tests only; no partitioner builds on it.
 """
 
@@ -222,32 +222,21 @@ def compose_partition(
     return greedy_complete(G, seeds, k=k)
 
 
-def random_partition(
-    G: Graph, k: int, trials: int = 1, seed: int = 0
-) -> VertexPartition:
-    """Best of `trials` uniform labelings, floored by one greedy completion.
+def random_partition(G: Graph, k: int, seed: int = 0) -> VertexPartition:
+    """One uniform labeling, floored by one greedy completion.
 
     The greedy candidate guarantees the result never exceeds m/k internal
-    edges, whatever the draws do.
+    edges, whatever the draw does.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if trials < 1:
-        raise ValueError("trials must be positive")
     rng = SplitMix64(derive_seed(seed, 0x21, G.n, G.m, k))
-    best: Optional[VertexPartition] = None
-    best_internal = -1
-    for _ in range(trials):
-        blocks = [0] * k
-        for v in range(G.n):
-            blocks[rng.randrange(k)] |= 1 << v
-        cand = VertexPartition(G.n, tuple(blocks))
-        internal = cand.internal_count(G)
-        if best is None or internal < best_internal:
-            best, best_internal = cand, internal
+    blocks = [0] * k
+    for v in range(G.n):
+        blocks[rng.randrange(k)] |= 1 << v
+    drawn = VertexPartition(G.n, tuple(blocks))
     greedy, greedy_internal = greedy_complete(G, [0] * k)
-    assert best is not None
-    return best if best_internal <= greedy_internal else greedy
+    return drawn if drawn.internal_count(G) <= greedy_internal else greedy
 
 
 def balanced_partition(G: Graph, k: int) -> tuple[VertexPartition, int]:

@@ -194,17 +194,14 @@ def _check_scrubber(graphs, r) -> str:
     return f"{count} scrub runs clean"
 
 
-def _check_blowup_identity(graphs, ks, t=2) -> str:
+def _check_blowup_identity(graphs, ks) -> str:
     count = 0
     for name, G in graphs:
-        H = blow_up(G, t)
+        H = blow_up(G, 2)
         for k in ks:
             base = exact_h(G, k)
             big = exact_h(H, k)
-            _need(
-                big == t * t * base,
-                f"{name}: h(G[{t}],{k})={big} != {t * t}*{base}",
-            )
+            _need(big == 4 * base, f"{name}: h(G[2],{k})={big} != 4*{base}")
             count += 1
     return f"{count} blow-up identities h(G[t],k) = t^2 h(G,k)"
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kdelete import cli
@@ -104,6 +105,56 @@ def test_gen_vertex_cap_admits_the_cap_itself(capsys, monkeypatch):
         main(["gen", "--kind", "cycle", "--n", str(MAX_VERTICES // 2), "--blowup", "2"])
 
 
+def _refuse_to_run(monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("a subcommand ran")
+
+    for name in (
+        "partition_triangle_free", "partition_clique_free",
+        "partition_wheel_free", "partition_odd_girth",
+        "partition_odd_cycle_free", "scrub_short_odd_cycles", "select_cover",
+        "local_search_cut", "max_k_cut_exact", "maxcut_odd_cycle_free",
+        "exact_h", "exact_u",
+    ):
+        monkeypatch.setattr(cli, name, ran)
+
+
+BIG = str(MAX_VERTICES + 1)
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("k", ["partition", "--method", "trianglefree", "--k", BIG]),
+    ("k", ["partition", "--method", "wheel", "--r", "1", "--k", "1000000"]),
+    ("r", ["partition", "--method", "clique", "--r", BIG, "--k", "2"]),
+    ("r", ["partition", "--method", "oddgirth", "--r", BIG, "--k", "2"]),
+    ("r", ["partition", "--method", "oddcycle", "--r", BIG, "--k", "2"]),
+    ("k", ["cover", "--k", BIG]),
+    ("r", ["scrub", "--r", BIG]),
+    ("l", ["maxcut", "--method", "local", "--l", "1000000"]),
+    ("l", ["maxcut", "--method", "exact", "--l", BIG]),
+    ("r", ["maxcut", "--method", "driver", "--r", BIG]),
+    ("k", ["oracle", "h", "--k", BIG]),
+    ("k", ["oracle", "u", "--k", BIG]),
+])
+def test_k_l_r_cap_refuses_before_running(flag, argv, capsys, monkeypatch):
+    _refuse_to_run(monkeypatch)
+    code, out, err = run_cli(
+        argv, stdin_text=_petersen_text(), capsys=capsys, monkeypatch=monkeypatch
+    )
+    assert code == 3
+    assert out == ""
+    assert f"refused: --{flag} is limited to {MAX_VERTICES}" in err
+
+
+def test_k_cap_admits_the_cap_itself(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        ["partition", "--method", "trianglefree", "--k", str(MAX_VERTICES)],
+        stdin_text=_petersen_text(), capsys=capsys, monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert json.loads(out)["outputs"]["partition"]["k"] == MAX_VERTICES
+
+
 def test_oracle_h_bare_integer(capsys, monkeypatch):
     code, out, _ = run_cli(
         ["oracle", "h", "--k", "2"], stdin_text=C5_TEXT, capsys=capsys,
@@ -148,6 +199,21 @@ def test_oracle_spectral_on_petersen(capsys, monkeypatch):
     cert = json.loads(out)["outputs"]["certificate"]
     assert Fraction(cert["lambda_upper"]) >= 2
     assert Fraction(cert["value"]) <= exact_h(petersen(), 2)
+
+
+@pytest.mark.parametrize("quantity", ["lambda", "spectral"])
+def test_oracle_spectral_refuses_before_the_dense_eigh(quantity, capsys, monkeypatch):
+    def eigh(*args, **kwargs):
+        raise AssertionError("eigh ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    code, out, err = run_cli(
+        ["oracle", quantity], stdin_text="2001 0\n", capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 3
+    assert out == ""
+    assert "refused: the dense eigendecomposition is limited to 2000" in err
 
 
 def test_oracle_spectral_refuses_irregular(capsys, monkeypatch):

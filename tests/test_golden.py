@@ -27,6 +27,8 @@ INPUTS = {
     "random30": cons.random_graph(30, 0.3, seed=1),
     "c9": cons.cycle(9),
     "windmill10": windmill(10),
+    "c7x8": cons.blow_up(cons.cycle(7), 8),
+    "random10": cons.random_graph(10, 0.5, seed=3),
 }
 
 # (graph on stdin or None, argv, sha256 of stdout)
@@ -106,6 +108,13 @@ PINS = [
      "206802fa9eb90cf0fdea25eed90ad31150858a4efa7ace02ee0a83bb3b4846f0"),
     ("c9", "partition --method oddcycle --r 1 --k 10",
      "7afa5886dfcf9cc1650d7f6d131b26bfbb26074f3cc5cf0e223949d253bb40d7"),
+    # The driver's coarsening with the CE grouping alone (k = 56, too many
+    # groupings to enumerate), and a core at k = 10 where the exhaustive
+    # scan finds a strictly lighter grouping than CE.
+    ("c7x8", "maxcut --method driver --r 2",
+     "cb6c40a0423f0cd3fd949b9c7e26a32aa40065ef39e99dc7f1d71ddb576c96b9"),
+    ("random10", "maxcut --method driver --r 2",
+     "90f23e1c19732f0e66a4e54e105cae86fc0752dfa7864939f458e612b8e86ef2"),
 ]
 
 

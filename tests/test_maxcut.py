@@ -9,8 +9,10 @@ from kdelete import constructions as cons
 from kdelete.constructions import random_graph
 from kdelete.errors import CapabilityError, InvariantViolation
 from kdelete.graphs import mask_of
+from kdelete import maxcut
 from kdelete.maxcut import (
     CutResult,
+    _ce_grouping,
     balanced_group_sizes,
     coarsen_cut,
     d_l_complete,
@@ -81,6 +83,117 @@ def test_d2_of_complete_k_is_the_driver_constant():
     # d_2(K_k) = ceil(k/2)*floor(k/2)/C(k,2); for even k that is k/(2(k-1))
     for k in (4, 6, 8, 178):
         assert d_l_complete(2, k) == Fraction(k, 2 * (k - 1))
+
+
+# The conditional-expectation greedy as it stood before its three R' cases
+# became one score; kept verbatim so the groups can be compared exactly.
+def _ce_grouping_reference(w: list[list[int]], sizes: tuple[int, ...]) -> list[list[int]]:
+    """Conditional-expectation greedy: place each label in the group that
+    minimizes the expected internal weight of a random equitable completion.
+
+    All expectations are compared after scaling by R'(R'-1) > 0 (R' labels
+    left after the current one), which clears every denominator and keeps
+    the comparison in exact integers; the final grouping is therefore at
+    most the initial expectation, i.e. internal <= sum C(s_i,2)/C(k,2) * W.
+    """
+    k = len(w)
+    l = len(sizes)
+    groups: list[list[int]] = [[] for _ in range(l)]
+    cap = list(sizes)
+    row_total = [sum(w[u]) for u in range(k)]
+    # W_g(v): weight from unassigned v to group g; S_g = sum over unassigned;
+    # U2 = total weight between unassigned pairs.
+    wg = [[0] * l for _ in range(k)]
+    s_g = [0] * l
+    u2 = sum(row_total) // 2
+    unassigned = set(range(k))
+    for u in range(k):
+        unassigned.discard(u)
+        rprime = len(unassigned)
+        row_u = sum(w[u][v] for v in unassigned)
+        best_g, best_score = -1, None
+        for g in range(l):
+            if cap[g] == 0:
+                continue
+            if rprime >= 2:
+                term_assigned = 0
+                term_pairs = 0
+                for gp in range(l):
+                    cp = cap[gp] - (1 if gp == g else 0)
+                    term_assigned += cp * (s_g[gp] - wg[u][gp])
+                    term_pairs += cp * (cp - 1)
+                score = (
+                    wg[u][g] * rprime * (rprime - 1)
+                    + (rprime - 1) * term_assigned
+                    + (rprime - 1) * (cap[g] - 1) * row_u
+                    + (u2 - row_u) * term_pairs
+                )
+            elif rprime == 1:
+                v = next(iter(unassigned))
+                gv = g
+                for gp in range(l):
+                    cp = cap[gp] - (1 if gp == g else 0)
+                    if cp > 0:
+                        gv = gp
+                        break
+                score = wg[u][g] + wg[v][gv] + (w[u][v] if gv == g else 0)
+            else:
+                score = wg[u][g]
+            if best_score is None or score < best_score:
+                best_g, best_score = g, score
+        groups[best_g].append(u)
+        cap[best_g] -= 1
+        for v in unassigned:
+            wg[v][best_g] += w[u][v]
+        s_g = [
+            sum(wg[v][g] for v in unassigned) for g in range(l)
+        ]
+        u2 -= row_u
+    return groups
+
+
+@st.composite
+def weight_matrices(draw):
+    k = draw(st.integers(1, 14))
+    w = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a + 1, k):
+            w[a][b] = w[b][a] = draw(st.integers(0, 50))
+    return w
+
+
+@given(weight_matrices())
+@settings(max_examples=150)
+def test_ce_grouping_matches_reference(w):
+    k = len(w)
+    for l in range(1, k + 1):
+        sizes = balanced_group_sizes(k, l)
+        assert _ce_grouping(w, sizes) == _ce_grouping_reference(w, sizes)
+
+
+def test_ce_grouping_matches_reference_on_the_driver_fine_cut(monkeypatch):
+    calls = []
+
+    def recording(w, sizes):
+        calls.append((w, sizes))
+        return _ce_grouping(w, sizes)
+
+    monkeypatch.setattr(maxcut, "_ce_grouping", recording)
+    G = cons.blow_up(cons.cycle(7), 50)
+    assert maxcut_dense_driver(G, 2).meta["k"] == 234
+    [(w, sizes)] = calls
+    assert len(w) == 234
+    assert _ce_grouping(w, sizes) == _ce_grouping_reference(w, sizes)
+
+
+def test_driver_coarsening_ce_alone_and_strict_exhaustive_win():
+    # c7 x 8: k = 56, too many groupings to enumerate, CE alone
+    assert maxcut_dense_driver(cons.blow_up(cons.cycle(7), 8), 2).method == (
+        "driver/coarsen-ce"
+    )
+    # the exhaustive scan beats CE strictly at k = 10
+    G = random_graph(10, 0.5, seed=3)
+    assert maxcut_dense_driver(G, 2).method == "driver/coarsen-exhaustive"
 
 
 @given(small_graph, st.integers(0, 2**32))
