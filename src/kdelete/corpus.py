@@ -8,6 +8,8 @@ are identical across runs and platforms.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from ._rng import SplitMix64, derive_seed
 from .constructions import (
     blow_up,
@@ -49,6 +51,30 @@ def book(t: int) -> Graph:
         p = 2 + i
         edges += [(0, p), (1, p)]
     return build_graph(2 + t, edges)
+
+
+def mycielski(i: int) -> Graph:
+    """Mycielski graph M_i: triangle-free with chromatic number i.  M_2 = K_2;
+    M_{j+1} adds a shadow u' of each u (joined to N(u)) and a hub joined to
+    every shadow."""
+    if i < 2:
+        raise ValueError("i must be at least 2")
+    n, edges = 2, [(0, 1)]
+    for _ in range(i - 2):
+        shadows = [(n + u, v) for u, v in edges] + [(n + v, u) for u, v in edges]
+        hub = [(n + u, 2 * n) for u in range(n)]
+        n, edges = 2 * n + 1, edges + shadows + hub
+    return build_graph(n, edges)
+
+
+def kneser(n: int, r: int) -> Graph:
+    """Kneser graph K(n, r): the r-subsets of range(n) in lexicographic order,
+    adjacent when disjoint.  K(2r + 1, r) is the odd graph, of odd girth
+    2r + 1."""
+    verts = [frozenset(c) for c in combinations(range(n), r)]
+    return build_graph(len(verts), [
+        (a, b) for a, b in combinations(range(len(verts)), 2) if not verts[a] & verts[b]
+    ])
 
 
 def random_bipartite(a: int, b: int, p: float, seed: int = 0) -> Graph:

@@ -23,7 +23,7 @@ from math import comb, factorial
 from ._rng import SplitMix64, derive_seed
 from .bounds import iroot
 from .errors import CapabilityError, InvariantViolation
-from .graphs import Graph, bits_list, edges_between, edges_inside
+from .graphs import Graph, bits_list, edges_between, edges_inside, mask_of
 from .oddgirth import partition_odd_cycle_free
 from .oracle import min_internal_partition
 from .partition import VertexPartition, lift_blocks
@@ -70,15 +70,29 @@ def max_k_cut_exact(G: Graph, k: int) -> CutResult:
     """Provably maximum k-cut via the branch-and-bound deletion oracle.
 
     Only the first vertex's label is pinned, so the state space is k**(n-1);
-    inputs beyond 5e6 states are refused up front.
+    isolated vertices cut nothing, so n counts the vertices of positive
+    degree, and inputs beyond 5e6 states are refused up front.  Where the
+    bound over all n vertices holds too, the search runs on G itself, so such
+    inputs keep their blocks; otherwise it runs on the positive-degree core,
+    and the isolated vertices join the first block.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if G.n > 0 and k ** (G.n - 1) > _EXACT_CUT_LIMIT:
+    core_mask = mask_of(v for v, a in enumerate(G.adj) if a)
+    core_n = core_mask.bit_count()
+    if k ** (core_n - 1) > _EXACT_CUT_LIMIT:
         raise CapabilityError(
-            f"exact max-k-cut needs k**(n-1) <= {_EXACT_CUT_LIMIT}"
+            f"exact max-k-cut needs k**(n-1) <= {_EXACT_CUT_LIMIT}, "
+            "n counting the vertices of positive degree"
         )
-    internal, part = min_internal_partition(G, k)
+    if k ** (G.n - 1) <= _EXACT_CUT_LIMIT:
+        internal, part = min_internal_partition(G, k)
+    else:
+        core, verts = G.induced(core_mask)
+        internal, local = min_internal_partition(core, k)
+        blocks = lift_blocks(verts, local)
+        blocks[0] |= G.full_mask & ~core_mask
+        part = VertexPartition(G.n, tuple(blocks))
     return CutResult(
         partition=part,
         crossing=G.m - internal,

@@ -204,7 +204,7 @@ def exact_h(G: Graph, k: int, budget: Optional[int] = None) -> int:
             frontier = grown & ~comp
             comp |= frontier
         left &= ~comp
-        piece = G if comp == G.full_mask else G.induced(comp)[0]
+        piece = G.induced(comp)[0]
         cost, _, nodes = _branch_and_bound(piece, k, limit, nodes)
         total += cost
     return total

@@ -266,6 +266,16 @@ def test_maxcut_exact_cli(capsys, monkeypatch):
     assert json.loads(out)["outputs"]["crossing"] == 4
 
 
+def test_maxcut_exact_answers_an_edgeless_input(capsys, monkeypatch):
+    # Isolated vertices do not count towards the k**(n-1) cap.
+    code, out, _ = run_cli(
+        ["maxcut", "--method", "exact"], stdin_text="188 0\n",
+        capsys=capsys, monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert json.loads(out)["outputs"]["crossing"] == 0
+
+
 def test_maxcut_driver_needs_r(capsys, monkeypatch):
     code, _, err = run_cli(
         ["maxcut", "--method", "driver"],

@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -10,7 +10,14 @@ from kdelete import constructions as cons
 from kdelete._rng import derive_seed
 from kdelete.bounds import E_LOWER
 from kdelete.constructions import random_graph
-from kdelete.corpus import cover_suite, k4_free_suite, random_n8_suite, windmill
+from kdelete.corpus import (
+    cover_suite,
+    k4_free_suite,
+    kneser,
+    mycielski,
+    random_n8_suite,
+    windmill,
+)
 from kdelete.cover import (
     CoverSelection,
     _scaled_expectation,
@@ -23,7 +30,7 @@ from kdelete.cover import (
     selection_from_centers,
 )
 from kdelete.errors import InvariantViolation
-from kdelete.graphs import Graph, build_graph, edges_inside, iter_bits
+from kdelete.graphs import Graph, edges_inside, iter_bits
 from kdelete.oracle import enumerate_graphs
 
 random_instances = st.builds(
@@ -366,27 +373,9 @@ def test_greedy_cover_matches_reference_on_random_n8_suite():
             assert select_cover_greedy(G, k) == _reference_greedy(G, k)
 
 
-def _mycielski(i: int) -> Graph:
-    # M_2 = K_2; M_{j+1} adds a shadow u' of each u (joined to N(u)) and a
-    # hub joined to every shadow
-    n, edges = 2, [(0, 1)]
-    for _ in range(i - 2):
-        shadows = [(n + u, v) for u, v in edges] + [(n + v, u) for u, v in edges]
-        hub = [(n + u, 2 * n) for u in range(n)]
-        n, edges = 2 * n + 1, edges + shadows + hub
-    return build_graph(n, edges)
-
-
-def _kneser(n: int, r: int) -> Graph:
-    verts = [frozenset(c) for c in combinations(range(n), r)]
-    return build_graph(len(verts), [
-        (a, b) for a, b in combinations(range(len(verts)), 2) if not verts[a] & verts[b]
-    ])
-
-
 @pytest.mark.parametrize(
     "G",
-    [cons.complete_multipartite([8, 8, 8]), _mycielski(5), _kneser(7, 2), windmill(7),
+    [cons.complete_multipartite([8, 8, 8]), mycielski(5), kneser(7, 2), windmill(7),
      cons.disjoint_union([cons.complete(5), cons.complete(5)]),
      random_graph(16, 0.6, seed=4)],
     # in 2K5 the second center is chosen by the inside term alone

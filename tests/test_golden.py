@@ -14,7 +14,7 @@ import pytest
 
 from kdelete import constructions as cons
 from kdelete.cli import main
-from kdelete.corpus import windmill
+from kdelete.corpus import kneser, windmill
 from kdelete.graphs import format_edge_list
 
 INPUTS = {
@@ -29,6 +29,7 @@ INPUTS = {
     "windmill10": windmill(10),
     "c7x8": cons.blow_up(cons.cycle(7), 8),
     "random10": cons.random_graph(10, 0.5, seed=3),
+    "kneser11_5": kneser(11, 5),
 }
 
 # (graph on stdin or None, argv, sha256 of stdout)
@@ -115,6 +116,9 @@ PINS = [
      "cb6c40a0423f0cd3fd949b9c7e26a32aa40065ef39e99dc7f1d71ddb576c96b9"),
     ("random10", "maxcut --method driver --r 2",
      "90f23e1c19732f0e66a4e54e105cae86fc0752dfa7864939f458e612b8e86ef2"),
+    # The odd-girth precondition on the odd graph O6, of odd girth 11.
+    ("kneser11_5", "partition --method oddgirth --k 2 --r 4 --verify-preconditions",
+     "ae84302b26e9125b46b262ba493c514f9d0a72b0441e716e2015796754913004"),
 ]
 
 
@@ -134,3 +138,13 @@ def test_golden_stdout(graph, argv, digest, capsys, monkeypatch):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_golden_odd_girth_refusal(capsys, monkeypatch):
+    # The refusal names the computed odd girth, so it is pinned byte for byte.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(format_edge_list(INPUTS["c7x3"])))
+    argv = "partition --method oddgirth --k 2 --r 3 --verify-preconditions"
+    assert main(argv.split()) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0] == "refused: odd girth 7 is not above 7"

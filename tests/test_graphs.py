@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import signal
 import sys
 from itertools import combinations, permutations
 
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 
 from kdelete import constructions as cons
 from kdelete.cli import main
+from kdelete.corpus import kneser, mycielski
 from kdelete.errors import CapabilityError
 from kdelete.graphs import (
+    INFINITE_GIRTH,
     MAX_VERTICES,
     Graph,
     bits_list,
@@ -22,6 +25,7 @@ from kdelete.graphs import (
     find_clique,
     find_cycle_of_length,
     format_edge_list,
+    iter_bits,
     mask_of,
     neighborhood,
     odd_girth,
@@ -104,6 +108,80 @@ def test_odd_girth_values():
     assert odd_girth(cons.blow_up(cons.cycle(7), 3)) == 7
 
 
+def _odd_girth_reference(G: Graph) -> float:
+    """odd_girth as it was before the bit-parallel search, verbatim but for
+    its name: a separate layered BFS from every vertex."""
+    best = INFINITE_GIRTH
+    for v in range(G.n):
+        frontier = 1 << v
+        seen = frontier
+        depth = 0
+        while frontier and 2 * depth + 1 < best:
+            if any(G.adj[u] & frontier for u in iter_bits(frontier)):
+                best = 2 * depth + 1
+                break
+            nxt = 0
+            for u in iter_bits(frontier):
+                nxt |= G.adj[u]
+            frontier = nxt & ~seen
+            seen |= frontier
+            depth += 1
+        if best == 3:
+            return 3
+    return best
+
+
+def _odd_girth_within(G: Graph) -> float:
+    """odd_girth(G), failing instead of hanging when no answer comes within
+    5 s (a search whose layers never empty would loop)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"odd_girth gave no answer within 5 s on {G!r}")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        return odd_girth(G)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("G", [
+    *(cons.cycle(n) for n in range(3, 62)),
+    *(cons.blow_up(cons.cycle(c), t) for c in (5, 7, 11) for t in (1, 2, 3, 5)),
+    *(cons.complete(n) for n in range(1, 9)),
+    *(cons.hypercube(d) for d in range(1, 7)),
+    kneser(9, 4), kneser(11, 5),
+    *(mycielski(i) for i in range(4, 9)),
+], ids=[
+    *(f"C{n}" for n in range(3, 62)),
+    *(f"C{c}[{t}]" for c in (5, 7, 11) for t in (1, 2, 3, 5)),
+    *(f"K{n}" for n in range(1, 9)),
+    *(f"Q{d}" for d in range(1, 7)),
+    "K(9,4)", "K(11,5)",
+    *(f"M{i}" for i in range(4, 9)),
+])
+def test_odd_girth_matches_reference_on_families(G):
+    assert _odd_girth_within(G) == _odd_girth_reference(G)
+
+
+_sparse_graphs = st.integers(0, 16).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+        max_size=2 * n,
+    ).map(lambda es: build_graph(n, [e for e in es if e[0] != e[1]]))
+)
+
+
+@settings(max_examples=300)
+@given(_sparse_graphs, _sparse_graphs)
+def test_odd_girth_matches_reference_on_random_graphs(G, H):
+    # n <= 16, edgeless and disconnected graphs included; the union of the
+    # two draws is disconnected whenever both have vertices.
+    for F in (G, H, cons.disjoint_union([G, H])):
+        assert _odd_girth_within(F) == _odd_girth_reference(F), F.edges
+
+
 def test_find_clique_least_witness():
     K = cons.complete(5)
     assert find_clique(K, 3) == (0, 1, 2)
@@ -136,6 +214,17 @@ def test_induced_subgraph():
     H, verts = P.induced(mask_of([0, 1, 2, 3, 4]))  # outer C5
     assert H.n == 5 and H.m == 5
     assert tuple(verts) == (0, 1, 2, 3, 4)
+    assert P.induced(0) == (build_graph(0, []), ())
+
+
+@pytest.mark.parametrize("G", [
+    cons.petersen(), build_graph(0, []), build_graph(3, []),
+    cons.blow_up(cons.cycle(7), 50),
+], ids=["petersen", "empty", "edgeless3", "C7[50]"])
+def test_induced_full_mask_is_the_graph_itself(G):
+    H, verts = G.induced(G.full_mask)
+    assert H is G
+    assert verts == tuple(range(G.n))
 
 
 def test_delete_edges():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kdelete import constructions as cons
 from kdelete.constructions import random_graph
 from kdelete.errors import CapabilityError, InvariantViolation
-from kdelete.graphs import mask_of
+from kdelete.graphs import build_graph, mask_of
 from kdelete import maxcut
 from kdelete.maxcut import (
     CutResult,
@@ -22,7 +22,7 @@ from kdelete.maxcut import (
     maxcut_odd_cycle_free,
     surplus_compose,
 )
-from kdelete.oracle import exact_h
+from kdelete.oracle import exact_h, min_internal_partition
 from kdelete.partition import VertexPartition, random_partition
 
 small_graph = st.builds(
@@ -42,6 +42,22 @@ def test_exact_matches_duality(petersen):
 def test_exact_rejects_oversized_state_space():
     with pytest.raises(CapabilityError):
         max_k_cut_exact(random_graph(40, 0.5, seed=0), 4)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_exact_searches_the_core_beside_many_isolated_vertices(petersen, k):
+    # 110 isolated vertices ahead of a Petersen graph: k**(n-1) over all 120
+    # vertices is past the cap, over the 10 of positive degree it is not.
+    G = build_graph(120, [(u + 110, v + 110) for u, v in petersen.edges])
+    cut = max_k_cut_exact(G, k).validate(G)
+    assert cut.crossing == max_k_cut_exact(petersen, k).crossing
+    assert cut.partition.blocks[0] & mask_of(range(110)) == mask_of(range(110))
+
+
+def test_exact_keeps_the_plain_search_where_the_old_cap_held():
+    G = build_graph(14, [(u + 4, v + 4) for u, v in cons.petersen().edges])
+    for k in (2, 3):
+        assert max_k_cut_exact(G, k).partition == min_internal_partition(G, k)[1]
 
 
 @given(small_graph, st.integers(2, 4), st.integers(0, 2**32))

@@ -1,12 +1,10 @@
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdelete import constructions as cons
 from kdelete.constructions import random_graph
-from kdelete.corpus import random_n8_suite
+from kdelete.corpus import kneser, mycielski, random_n8_suite
 from kdelete.errors import BudgetExceeded, CapabilityError
 from kdelete.graphs import Graph, build_graph
 from kdelete.oracle import (
@@ -196,25 +194,6 @@ def _agrees_with_reference(G, k):
     return nodes, ref_nodes
 
 
-def _mycielski(i: int) -> Graph:
-    # M_2 = K_2; M_{j+1} adds a shadow u' of each u (joined to N(u)) and a
-    # hub joined to every shadow
-    n, edges = 2, [(0, 1)]
-    for _ in range(i - 2):
-        shadows = [(n + u, v) for u, v in edges] + [(n + v, u) for u, v in edges]
-        hub = [(n + u, 2 * n) for u in range(n)]
-        n, edges = 2 * n + 1, edges + shadows + hub
-    return build_graph(n, edges)
-
-
-def _kneser(n: int, r: int) -> Graph:
-    verts = [frozenset(c) for c in combinations(range(n), r)]
-    return build_graph(len(verts), [
-        (a, b) for a, b in combinations(range(len(verts)), 2)
-        if not verts[a] & verts[b]
-    ])
-
-
 def _paley(q: int) -> Graph:
     return cons.circulant(q, sorted({x * x % q for x in range(1, q)} & set(range(1, q // 2 + 1))))
 
@@ -242,8 +221,8 @@ def test_search_matches_reference_on_random_graphs(n, p, seed, k):
 CERTIFY = [
     ("c5x6", cons.blow_up(cons.cycle(5), 6), {2: (6044, 357361)}),
     ("c7x4", cons.blow_up(cons.cycle(7), 4), {2: (919, 8757)}),
-    ("mycielski-5", _mycielski(5), {2: (1035, 28352), 4: (33797, 220476)}),
-    ("kneser-7-2", _kneser(7, 2), {2: (2827, 148501), 4: (3368, 82068)}),
+    ("mycielski-5", mycielski(5), {2: (1035, 28352), 4: (33797, 220476)}),
+    ("kneser-7-2", kneser(7, 2), {2: (2827, 148501), 4: (3368, 82068)}),
     ("paley-13", _paley(13), {2: (255, 1282), 3: (588, 2381)}),
     ("paley-17", _paley(17), {2: (2706, 17351), 3: (6208, 69940)}),
 ]
@@ -256,7 +235,7 @@ def test_search_matches_reference_on_certify_instances(name, G, pins):
 
 
 def test_exact_h_splits_components():
-    m5, m4 = _mycielski(5), _mycielski(4)
+    m5, m4 = mycielski(5), mycielski(4)
     union = cons.disjoint_union([m5, m4])
     assert exact_h(union, 3) == min_internal_partition(union, 3)[0]
     assert exact_h(union, 3) == exact_h(m5, 3) + exact_h(m4, 3)
