@@ -6,11 +6,18 @@ block 0, a new block index only once all earlier ones appear), pruned by a
 lower bound kept up to date as vertices are assigned and undone.  The search
 keeps its own stack, so its depth is bounded by memory, not by the
 interpreter's recursion limit.  exact_h, which reports only the value, solves
-each connected component on its own.  exact_h_plain re-solves the problem by
-unpruned enumeration for cross-checks.  The search is metered: every tree node
-counts against a budget (default 10**7, overridable via the KDELETE_BUDGET
-environment variable) and overruns raise BudgetExceeded rather than silently
-stalling.
+each connected component on its own, over its false-twin classes.  False
+twins u, v have N(u) = N(v), so they are non-adjacent, and with every other
+vertex placed the deletion count is linear in each one's block: moving one
+into the other's block never costs more.  Some optimal partition therefore
+keeps each class together (Zykov symmetrization), and the search assigns
+classes whole, largest degree first; h(G[t], k) = t^2 h(G, k) follows by the
+same argument.  True twins (adjacent, equal closed neighbourhoods) are never
+merged, since the edge between them breaks the linearity.  exact_h_plain
+re-solves the problem by unpruned enumeration for cross-checks.  The search is
+metered: every tree node counts against a budget (default 10**7, overridable
+via the KDELETE_BUDGET environment variable, which must then be a positive
+integer) and overruns raise BudgetExceeded rather than silently stalling.
 
 enumerate_graphs yields every labeled graph on up to 7 vertices (optionally
 one representative per isomorphism class for n <= 5), and
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 import os
 from itertools import combinations, permutations, product
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -40,9 +47,15 @@ def _resolve_budget(budget: Optional[int]) -> int:
     if budget is not None:
         return budget
     env = os.environ.get("KDELETE_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"KDELETE_BUDGET must be a positive integer (got {env!r})")
+    return value
 
 
 def min_internal_partition(
@@ -73,18 +86,41 @@ def _over(limit: int, n: int, k: int) -> BudgetExceeded:
 
 
 def _branch_and_bound(
-    G: Graph, k: int, limit: int, spent: int = 0
+    G: Graph,
+    k: int,
+    limit: int,
+    spent: int = 0,
+    classes: Optional[Sequence[int]] = None,
 ) -> tuple[int, tuple[int, ...], int]:
     """The search of min_internal_partition on an explicit stack.
 
     Returns (cost, blocks, nodes), where nodes is spent plus the tree nodes
-    entered here; more than limit raises BudgetExceeded.  State at depth v
-    (vertices below v assigned): used/cost/rest at v, the block v holds
-    (-1 before its first child), the tight masks to restore on undo, and
-    the vertices whose minimum that assignment raised.  tight[i] holds the
-    unassigned u with |N(u) & B_i| = mn[u], the minimum over all k blocks
-    (empty blocks count 0), so a u in tight[i] alone has its minimum raised
-    by the next neighbour put in B_i, and only such u need counting again.
+    entered here; more than limit raises BudgetExceeded.
+
+    classes, when given, is an ordered list of disjoint masks covering G's
+    vertices, each a set of false twins (equal open neighbourhoods, so no
+    edge inside a class).  The search then puts each class into one block as
+    a whole, in list order; the greedy completion still seeds the incumbent.
+    With the other vertices placed, the deletion count is linear in each
+    twin's block, so moving a twin to its partner's block never raises it:
+    some optimal partition keeps every class together (Zykov), and the cost
+    returned is h(G, k).  True twins (adjacent, with equal closed
+    neighbourhoods) must not share a class, since the edge between them
+    breaks that linearity.  Without classes every vertex is its own class in
+    index order, and the returned blocks are min_internal_partition's.
+
+    State at depth v (classes before v assigned): used/cost/rest at v, the
+    block class v holds (-1 before its first child), the tight masks to
+    restore on undo, the vertices whose minimum that assignment raised and,
+    for a class of more than one vertex, their old minima.  tight[i] holds
+    the unassigned u with |N(u) & B_i| = mn[u], the minimum over all k
+    blocks (empty blocks count 0).  A class's vertices share their counts,
+    so every mask holds whole classes and mn is kept at each class's least
+    vertex.  A u in tight[i] alone has its minimum raised by the next
+    neighbour put in B_i, and only such u need counting again.  Putting
+    class C there raises it to min(mn[u] + |C|, its other blocks' counts):
+    exactly mn[u] + 1 when |C| = 1, and at least that otherwise because the
+    counts are integers, so the bound adds one per raised vertex.
     """
     n = G.n
     if n == 0:
@@ -97,7 +133,19 @@ def _branch_and_bound(
     if best_cost == 0:
         return 0, best_blocks, spent
     adj = G.adj
-    later = [a >> (v + 1) << (v + 1) for v, a in enumerate(adj)]
+    if classes is None:
+        classes = [1 << v for v in range(n)]
+    class_of = [0] * n  # representative (least vertex) -> its class
+    after = 0
+    spec = []  # per depth: the class, its size, representative and neighbours
+    for c in classes:
+        r = (c & -c).bit_length() - 1
+        class_of[r] = c
+        spec.append((c, c.bit_count(), r, adj[r]))
+    later = [0] * len(spec)
+    for v in range(len(spec) - 1, -1, -1):
+        later[v] = spec[v][3] & after
+        after |= spec[v][0]
     blocks = [0] * k
     tight = [(1 << n) - 1] * k
     mn = [0] * n
@@ -108,7 +156,8 @@ def _branch_and_bound(
     held = [-1] * n
     saved: list = [None] * n
     raised = [0] * n
-    last = n - 1
+    olds: list = [None] * n
+    last = len(spec) - 1
     nodes = spent + 1
     if nodes > limit:
         raise _over(limit, n, k)
@@ -117,17 +166,17 @@ def _branch_and_bound(
         cost = cost_at[v]
         used = used_at[v]
         top = used + 1 if used < k else k
-        av = adj[v]
+        cv, s, r, av = spec[v]
         if v == last:  # every child is a leaf and rest is 0
             for i in range(top):
-                extra = (av & blocks[i]).bit_count()
+                extra = (av & blocks[i]).bit_count() * s
                 if cost + extra < best_cost:
                     nodes += 1
                     if nodes > limit:
                         raise _over(limit, n, k)
                     best_cost = cost + extra
                     best_blocks = tuple(
-                        b | (1 << v) if j == i else b for j, b in enumerate(blocks)
+                        b | cv if j == i else b for j, b in enumerate(blocks)
                     )
             v -= 1
             continue
@@ -139,17 +188,23 @@ def _branch_and_bound(
                 one |= t
             alone = alone_at[v] = later[v] & ~two
         else:  # undo v -> i
-            blocks[i] ^= 1 << v
+            blocks[i] ^= cv
             tight = saved[v]
             up = raised[v]
             if up:
-                for u in iter_bits(up):
-                    mn[u] -= 1
+                if s == 1:
+                    while up:
+                        u = (up & -up).bit_length() - 1
+                        mn[u] -= 1
+                        up ^= class_of[u]
+                else:
+                    for u, m in olds[v]:
+                        mn[u] = m
             alone = alone_at[v]
-        base = cost + rest_at[v] - mn[v]
+        base = cost + rest_at[v] - s * mn[r]
         i += 1
         while i < top:
-            extra = (av & blocks[i]).bit_count()
+            extra = (av & blocks[i]).bit_count() * s
             if cost + extra < best_cost and (
                 base + extra + (alone & tight[i]).bit_count() < best_cost
             ):
@@ -163,25 +218,66 @@ def _branch_and_bound(
         if nodes > limit:
             raise _over(limit, n, k)
         held[v] = i
-        blocks[i] |= 1 << v
+        blocks[i] |= cv
         saved[v] = tight
         tight = tight.copy()
         hit = later[v] & tight[i]
         up = raised[v] = hit & alone
         tight[i] ^= hit ^ up
-        if up:
-            for u in iter_bits(up):
-                m = mn[u] + 1
-                mn[u] = m
-                au = adj[u]
-                for j in range(k):
-                    if j != i and (au & blocks[j]).bit_count() == m:
-                        tight[j] |= 1 << u
+        rise = up.bit_count()
+        if up:  # a class per step: its least vertex u holds mn
+            if s == 1:  # the other blocks' counts exceed mn[u] already
+                while up:
+                    u = (up & -up).bit_length() - 1
+                    m = mn[u] + 1
+                    mn[u] = m
+                    au = adj[u]
+                    cu = class_of[u]
+                    up ^= cu
+                    for j in range(k):
+                        if j != i and (au & blocks[j]).bit_count() == m:
+                            tight[j] |= cu
+            else:
+                undo = olds[v] = []
+                while up:
+                    u = (up & -up).bit_length() - 1
+                    old = mn[u]
+                    au = adj[u]
+                    cu = class_of[u]
+                    up ^= cu
+                    counts = [(au & b).bit_count() for b in blocks]
+                    m = mn[u] = min(counts)
+                    undo.append((u, old))
+                    rise += (m - old - 1) * cu.bit_count()
+                    for j, c in enumerate(counts):
+                        if c == m:
+                            tight[j] |= cu
+                        elif j == i:
+                            tight[i] ^= cu
         v += 1
         used_at[v] = used + (i == used)
         cost_at[v] = cost + extra
-        rest_at[v] = base - cost + up.bit_count()
+        rest_at[v] = base - cost + rise
     return best_cost, best_blocks, nodes
+
+
+def twin_classes(G: Graph) -> list[int]:
+    """G's false-twin classes (vertices with equal open neighbourhoods) as
+    masks, by degree descending, ties to the class with the least vertex.
+
+    Adjacent vertices never share an open neighbourhood (a vertex is not
+    its own neighbour), so true twins stay apart.
+    """
+    width = (G.n + 7) // 8
+    first: dict[bytes, int] = {}  # neighbourhood -> least vertex with it
+    masks = [0] * G.n
+    for v, a in enumerate(G.adj):
+        # Keyed by bytes: int hashes are taken mod 2**61 - 1, so masks such
+        # as 2**j and 2**(j + 61) collide and a dict of them slows to a crawl.
+        r = first.setdefault(a.to_bytes(width, "little"), v)
+        masks[r] |= 1 << v
+    order = sorted(first.values(), key=lambda r: -G.adj[r].bit_count())
+    return [masks[r] for r in order]
 
 
 def exact_h(G: Graph, k: int, budget: Optional[int] = None) -> int:
@@ -189,6 +285,10 @@ def exact_h(G: Graph, k: int, budget: Optional[int] = None) -> int:
 
     h is additive over connected components, so each component is searched
     on its own and the values summed; the components share one node budget.
+    Each component is searched over its false-twin classes (twin_classes):
+    some optimal partition keeps every class in one block, so the search
+    assigns classes whole, largest degree first, and the search on a
+    blow-up G[t] has as many classes to place as the one on G.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -205,7 +305,7 @@ def exact_h(G: Graph, k: int, budget: Optional[int] = None) -> int:
             comp |= frontier
         left &= ~comp
         piece = G.induced(comp)[0]
-        cost, _, nodes = _branch_and_bound(piece, k, limit, nodes)
+        cost, _, nodes = _branch_and_bound(piece, k, limit, nodes, twin_classes(piece))
         total += cost
     return total
 

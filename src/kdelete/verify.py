@@ -49,7 +49,12 @@ from .oddgirth import (
     partition_odd_girth,
     scrub_short_odd_cycles,
 )
-from .oracle import exact_h, mantel_worst_uncovered, min_uncovered_single
+from .oracle import (
+    exact_h,
+    mantel_worst_uncovered,
+    min_internal_partition,
+    min_uncovered_single,
+)
 
 TIERS = ("tiny", "small", "desk")
 
@@ -195,12 +200,14 @@ def _check_scrubber(graphs, r) -> str:
 
 
 def _check_blowup_identity(graphs, ks) -> str:
+    # exact_h keeps false twins together, which is this identity's own
+    # argument, so the blown-up side is searched vertex by vertex instead.
     count = 0
     for name, G in graphs:
         H = blow_up(G, 2)
         for k in ks:
             base = exact_h(G, k)
-            big = exact_h(H, k)
+            big = min_internal_partition(H, k)[0]
             _need(big == 4 * base, f"{name}: h(G[2],{k})={big} != 4*{base}")
             count += 1
     return f"{count} blow-up identities h(G[t],k) = t^2 h(G,k)"

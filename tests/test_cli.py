@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,31 @@ def test_oracle_u_and_maxcut(capsys, monkeypatch):
         monkeypatch=monkeypatch,
     )
     assert out == "3\n"
+
+
+@pytest.mark.parametrize("quantity,expected", [("h", "2500\n"), ("maxcut", "15000\n")])
+def test_oracle_on_a_blow_up_answers_within_a_second(quantity, expected, capsys, monkeypatch):
+    _, text, _ = run_cli(
+        ["gen", "--kind", "cycle", "--n", "7", "--blowup", "50"], capsys=capsys
+    )
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        ["oracle", quantity, "--k", "2"], stdin_text=text, capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, expected)
+
+
+@pytest.mark.parametrize("value", ["abc", "1e6", "-5", "0", "2.5"])
+def test_bad_budget_variable_is_a_usage_error(value, capsys, monkeypatch):
+    monkeypatch.setenv("KDELETE_BUDGET", value)
+    code, out, err = run_cli(
+        ["oracle", "h", "--k", "2"], stdin_text=C5_TEXT, capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (2, "")
+    assert f"usage error: KDELETE_BUDGET must be a positive integer (got {value!r})" in err
 
 
 def _petersen_text():

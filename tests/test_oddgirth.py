@@ -34,7 +34,7 @@ from kdelete.oddgirth import (
     partition_odd_girth,
     scrub_short_odd_cycles,
 )
-from kdelete.oracle import enumerate_graphs
+from kdelete.oracle import enumerate_graphs, exact_h
 
 any_graph = st.builds(
     random_graph,
@@ -156,6 +156,14 @@ def test_partition_odd_cycle_free(k):
     rep = partition_odd_cycle_free(G, k, 2, verify=True)
     assert rep.guarantee_holds
     assert rep.deleted == rep.meta["scrub"]["removed"] + rep.meta["inner_deleted"]
+
+
+def test_partition_odd_cycle_free_is_optimal_on_c7x50():
+    # C7[50] has no C5; the oracle's 2,500 is 50^2 h(C7, 2), so the
+    # partitioner's deletions there are the minimum.
+    G = cons.blow_up(cons.cycle(7), 50)
+    rep = partition_odd_cycle_free(G, 2, 2)
+    assert rep.deleted == exact_h(G, 2) == 2500
 
 
 def test_partition_odd_cycle_free_rejects_c5(petersen):

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from kdelete.oracle import (
     mantel_worst_uncovered,
     min_internal_partition,
     min_uncovered_single,
+    twin_classes,
 )
 from kdelete.partition import VertexPartition, greedy_complete, trivial_distinct
 
@@ -269,3 +272,65 @@ def test_exact_h_answers_under_a_deep_caller_stack():
     # How deep the caller's stack already is must not decide the answer.
     G = cons.cycle(951)
     assert _nested(200, lambda: exact_h(G, 2)) == 1
+
+
+@lru_cache(maxsize=None)
+def _all_graphs(n):
+    return tuple(enumerate_graphs(n))
+
+
+_N8 = tuple(G for _, G in random_n8_suite(seed=0))
+_PLANT_CAP = 10  # vertices after planting, so exact_h_plain stays fast at k = 3
+
+
+def _plant_twins(G, sizes, perm):
+    """G with vertex v replaced by sizes[v] pairwise non-adjacent copies
+    (false twins of each other), relabelled by perm."""
+    first = [0]
+    for t in sizes:
+        first.append(first[-1] + t)
+    edges = [
+        (perm[first[u] + a], perm[first[w] + b])
+        for u, w in G.edges
+        for a in range(sizes[u])
+        for b in range(sizes[w])
+    ]
+    return build_graph(first[-1], edges)
+
+
+@st.composite
+def _planted(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        G = _all_graphs(n)[draw(st.integers(0, 2 ** (n * (n - 1) // 2) - 1))]
+    else:
+        G = draw(st.sampled_from(_N8))
+    room = _PLANT_CAP - G.n
+    sizes = []
+    for _ in range(G.n):
+        extra = draw(st.integers(0, min(2, room)))
+        room -= extra
+        sizes.append(1 + extra)
+    perm = draw(st.permutations(range(sum(sizes))))
+    return _plant_twins(G, sizes, perm)
+
+
+@given(_planted())
+def test_exact_h_on_planted_twin_classes_matches_plain_enumeration(G):
+    for k in (2, 3):
+        assert exact_h(G, k) == exact_h_plain(G, k)
+
+
+def test_twin_classes_keep_true_twins_apart():
+    assert twin_classes(cons.complete(3)) == [1, 2, 4]
+    # C5[2]: five classes of two, all of degree 4, in order of least vertex
+    assert twin_classes(cons.blow_up(cons.cycle(5), 2)) == [0b11 << 2 * i for i in range(5)]
+    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert twin_classes(star) == [0b0001, 0b1110]
+
+
+def test_exact_h_on_blow_ups_is_t_squared_times_h():
+    assert exact_h(cons.blow_up(cons.cycle(7), 50), 2) == 2500
+    assert exact_h(cons.blow_up(cons.cycle(5), 6), 3) == 0
+    P = _paley(13)
+    assert exact_h(cons.blow_up(P, 8), 3) == 64 * exact_h(P, 3) == 320
