@@ -10,11 +10,11 @@ as partition seeds.
 Three selectors are provided.  select_cover_random replays the probabilistic
 argument directly (best of `trials` uniform draws).  select_cover_greedy is
 plain max-coverage: with union U so far and W = N(v) \\ U, center v gains
-e(W, U) + e(G[W]), counted exactly in int64 on the edge arrays, with no
-per-vertex bit loop.  select_cover_expectation walks through the random draw
-one center at a time, always moving to a center whose conditional expected
-uncovered count does not exceed the current one; since the initial
-expectation is below n^2/(e*k), the finished selection satisfies
+e(W, U) + e(G[W]), counted exactly on the edge arrays, with no per-vertex bit
+loop.  select_cover_expectation walks through the random draw one center at
+a time, always moving to a center whose conditional expected uncovered count
+does not exceed the current one; since the initial expectation is below
+n^2/(e*k), the finished selection satisfies
 
     uncovered_edges <= n^2 / (e * k)
 
@@ -24,9 +24,12 @@ passes through a float.
 
 The expectation never needs a weight per vertex or per edge.  A vertex's
 term d(n - d)^j depends only on its degree, and an edge's term (n - u)^j
-only on its union size u = |N(x) | N(y)|, so select_cover_expectation counts
-vertices and edges per degree and per union size with numpy (int64 counts)
-and multiplies the counts by one exact Python-int power per distinct value.
+only on its union size u = |N(x) | N(y)|, so each step takes one exact
+Python-int power per distinct degree and union size.  Those powers are cut
+into 32-bit limbs, and every sum over vertices and edges runs on int64 limb
+rows in numpy.  No limb sum comes near 2^63 (select_cover_expectation gives
+the bounds), so the result is the exact integer one, ties included, with no
+Python step per vertex or edge.
 
 even_parts refines a t-center selection into exactly 2t sets of size at most
 n/t without losing covered edges; the recursive partitioners feed those
@@ -35,23 +38,26 @@ chunks to their per-piece subproblems.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ._rng import SplitMix64, derive_seed
 from .bounds import E_LOWER
 from .errors import CapabilityError, InvariantViolation
-from .graphs import Graph, bits_list, edges_inside, mask_of
+from .graphs import MAX_VERTICES, Graph, bits_list, edges_inside, mask_of
 
 _EXACT_U_LIMIT = 10**7
-# Adjacency entries per block in _common_neighbor_counts: bounds its scratch
-# memory at a few hundred kilobytes whatever the graph.
+# Entries per block of the block loops (edges x adjacency words or bits,
+# directed edges x limbs): bounds their scratch memory at a few hundred
+# kilobytes whatever the graph.
 _BLOCK = 1 << 16
+# Shift of each byte of a 32-bit limb (see _inside_sums).
+_BYTE_SHIFTS = np.array([0, 8, 16, 24])
 
 STRATEGIES = ("greedy", "random", "expectation", "best")
 
@@ -123,39 +129,110 @@ def selection_from_centers(G: Graph, centers: Sequence[int]) -> CoverSelection:
 
 # What both selectors read off G, built by _edge_arrays; under "best",
 # select_cover builds it once and hands it to both.
-_EdgeArrays = namedtuple("_EdgeArrays", "degree ex ey union_size neighbors packed")
+_EdgeArrays = namedtuple(
+    "_EdgeArrays", "degree ex ey union_size shared src dst edge_of start packed"
+)
 
 
 def _edge_arrays(G: Graph, k: int) -> _EdgeArrays:
-    """Degrees, edge ends ex < ey, union sizes |N(x) | N(y)| per edge, N(v) as
-    index lists, and the adjacency as little-endian bit rows when some edge
-    has a common neighbour (else None)."""
+    """Degrees; edge ends ex < ey; union sizes u_e = |N(x) | N(y)| per edge;
+    shared, the edges whose ends have a common neighbour (the only ones that
+    can lie inside some N(v)); the 2m directed edges src -> dst sorted by
+    source, with edge_of[i] the edge that directed edge i runs along, so
+    N(v) = dst[start[v]:start[v + 1]]; and the adjacency as little-endian bit
+    rows, padded to whole 64-bit words, when some edge is shared (else None).
+
+    u_e = d(x) + d(y) - |N(x) & N(y)|: the rows of each edge's ends are ANDed
+    as uint64 words, _BLOCK words at a time, and counted with a SWAR
+    popcount, so the union sizes cost O(m n / 64) word operations in numpy
+    and no Python step per edge.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     if G.n == 0:
         raise ValueError("cannot select centers in an empty graph")
-    n = G.n
-    degree = np.array([a.bit_count() for a in G.adj], dtype=np.int64)
-    ends = np.fromiter(chain.from_iterable(G.edges), dtype=np.intp, count=2 * G.m)
+    n, m = G.n, G.m
+    ends = np.fromiter(chain.from_iterable(G.edges), dtype=np.intp, count=2 * m)
     ex, ey = ends[0::2], ends[1::2]
-    union_size = np.array(
-        [(G.adj[x] | G.adj[y]).bit_count() for x, y in G.edges], dtype=np.int64
+    degree = np.bincount(ends, minlength=n)
+    order = np.argsort(np.concatenate((ex, ey)), kind="stable")
+    src = np.concatenate((ex, ey))[order]
+    dst = np.concatenate((ey, ex))[order]
+    edge_of = np.concatenate((np.arange(m), np.arange(m)))[order]
+    start = np.concatenate(([0], np.cumsum(degree)))
+    width = (n + 63) // 64
+    packed = np.frombuffer(
+        b"".join(a.to_bytes(8 * width, "little") for a in G.adj), dtype=np.uint8
+    ).reshape(n, 8 * width)
+    words = packed.view(np.uint64)
+    common = np.zeros(m, dtype=np.int64)
+    rows = max(1, _BLOCK // width)
+    for lo in range(0, m, rows):
+        both = words[ex[lo : lo + rows]] & words[ey[lo : lo + rows]]
+        common[lo : lo + rows] = _popcount(both).sum(axis=1)
+    # An edge lies inside N(v) only when v is a common neighbour of its ends.
+    shared = common > 0
+    return _EdgeArrays(
+        degree, ex, ey, degree[ex] + degree[ey] - common, shared, src, dst, edge_of,
+        start, packed if shared.any() else None,
     )
-    # N(v) as index lists, from the edge arrays rather than bits_list, which
-    # walks the bits one Python step at a time.
-    by_source = np.argsort(np.concatenate((ex, ey)), kind="stable")
-    neighbors = [
-        nb.tolist()
-        for nb in np.split(np.concatenate((ey, ex))[by_source], np.cumsum(degree)[:-1])
-    ]
-    packed = None
-    # An edge lies inside N(v) only when v is a common neighbor of its ends.
-    if np.any(degree[ex] + degree[ey] > union_size):
-        width = (n + 7) // 8
-        packed = np.frombuffer(
-            b"".join(a.to_bytes(width, "little") for a in G.adj), dtype=np.uint8
-        ).reshape(n, width)
-    return _EdgeArrays(degree, ex, ey, union_size, neighbors, packed)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word: bit pairs, nibbles and bytes are summed
+    in place, and one multiply adds the bytes into the top byte."""
+    c = np.uint64
+    words = words - ((words >> c(1)) & c(0x5555555555555555))
+    words = (words & c(0x3333333333333333)) + ((words >> c(2)) & c(0x3333333333333333))
+    words = (words + (words >> c(4))) & c(0x0F0F0F0F0F0F0F0F)
+    return (words * c(0x0101010101010101)) >> c(56)
+
+
+def _inside_sums(
+    packed: np.ndarray, xs: np.ndarray, ys: np.ndarray, index: np.ndarray,
+    table: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(apexes, sums): the vertices adjacent to both ends of some edge
+    (xs[i], ys[i]), ascending, and per apex v the int64 row that sums
+    table[index[i]] over those edges; table holds limbs below 2**32.
+
+    packed holds the adjacency as little-endian bit rows.  Each block of at
+    most _BLOCK adjacency entries is ANDed, unpacked once and summed with one
+    float32 matmul against the bytes of its weight rows, so no (edges x n) or
+    (edges x L) array is built; only the apex rows are put back into limbs.
+    A block has at most 2**16 edges, so its byte sums stay below
+    2**16 * 255 < 2**24, which float32 holds exactly; their float64 totals
+    stay below m * 255 < 2**34, and the limbs put back together from them
+    below 2**58.
+    """
+    n, limbs = len(packed), table.shape[1]
+    pieces = (table[:, :, None] >> _BYTE_SHIFTS & 0xFF).reshape(len(table), 4 * limbs)
+    weights = pieces.astype(np.float32)
+    out = np.zeros((n, 4 * limbs))
+    seen = np.zeros(packed.shape[1], dtype=np.uint8)
+    rows = max(1, _BLOCK // n)
+    for lo in range(0, len(xs), rows):
+        both = packed[xs[lo : lo + rows]] & packed[ys[lo : lo + rows]]
+        seen |= np.bitwise_or.reduce(both, axis=0)
+        bits = np.unpackbits(both, axis=1, count=n, bitorder="little")
+        out += bits.T.astype(np.float32) @ weights[index[lo : lo + rows]]
+    apexes = np.flatnonzero(np.unpackbits(seen, count=n, bitorder="little"))
+    sums = out[apexes].astype(np.int64).reshape(len(apexes), limbs, 4)
+    return apexes, (sums << _BYTE_SHIFTS).sum(axis=2)
+
+
+def _unit_inside_sums(
+    packed: np.ndarray, ex: np.ndarray, ey: np.ndarray, edges: np.ndarray
+) -> np.ndarray:
+    """Per vertex v, the number of the masked edges with v adjacent to both
+    ends."""
+    apexes, sums = _inside_sums(
+        packed, ex[edges], ey[edges], np.zeros(np.count_nonzero(edges), np.intp),
+        np.ones((1, 1), np.int64),
+    )
+    out = np.zeros(len(packed), dtype=np.int64)
+    out[apexes] = sums[:, 0]
+    return out
 
 
 def select_cover_random(
@@ -190,29 +267,38 @@ def select_cover_greedy(
     over the edges gives |N(w) & U| for every w, and a second sums it over the
     w in W; the weights are integers and every sum stays below n^2 < 2^53, so
     the float64 sums are exact.  e(G[W]) is the number of edges outside U with
-    v as a common neighbour of both ends (_common_neighbor_counts, one class);
-    it is 0 on a triangle-free graph.  argmax takes the first maximum, the
-    lowest index, as a strict > scan does.  arrays is _edge_arrays(G, k)
-    when the caller already has it.
+    v as a common neighbour of both ends: _inside_sums with unit weights
+    counts it once for all shared edges, and after each pick counts only the
+    edges the union reached, or the ones still outside it if those are fewer.
+    It is 0 on a triangle-free graph.  argmax takes the first maximum, the
+    lowest index, as a strict > scan does.  arrays is _edge_arrays(G, k) when
+    the caller already has it.
     """
     arrays = arrays or _edge_arrays(G, k)
     n = G.n
-    ex, ey = arrays.ex, arrays.ey
-    src, dst = np.concatenate((ex, ey)), np.concatenate((ey, ex))
+    ex, ey, src, dst = arrays.ex, arrays.ey, arrays.src, arrays.dst
+    # fresh: the edges outside the union that some vertex sees both ends of;
+    # inside[v] counts those with both ends in N(v).  When the union reaches
+    # some of them, inside is recounted from whichever side is smaller, the
+    # edges that left or the edges that stay.
+    fresh = arrays.shared.copy()
+    inside = _unit_inside_sums(arrays.packed, ex, ey, fresh) if fresh.any() else 0
     in_union = np.zeros(n, dtype=bool)
     centers: list[int] = []
-    for _ in range(k):
+    for step in range(k):
         into_union = np.bincount(src[in_union[dst]], minlength=n)
         gain = np.bincount(src, weights=(into_union * ~in_union)[dst], minlength=n)
-        gain = gain.astype(np.int64)
-        fresh = ~(in_union[ex] | in_union[ey])
-        if arrays.packed is not None and fresh.any():
-            for _, inside in _common_neighbor_counts(
-                arrays.packed, ex[fresh], ey[fresh], np.zeros(fresh.sum(), np.intp), 1
-            ):
-                gain += inside
-        centers.append(int(np.argmax(gain)))
-        in_union[arrays.neighbors[centers[-1]]] = True
+        centers.append(int(np.argmax(gain + inside)))
+        in_union[dst[arrays.start[centers[-1]] : arrays.start[centers[-1] + 1]]] = True
+        if step + 1 == k or not fresh.any():
+            continue
+        gone = fresh & (in_union[ex] | in_union[ey])
+        if gone.any():
+            fresh &= ~gone
+            if np.count_nonzero(gone) < np.count_nonzero(fresh):
+                inside = inside - _unit_inside_sums(arrays.packed, ex, ey, gone)
+            else:
+                inside = _unit_inside_sums(arrays.packed, ex, ey, fresh)
     return selection_from_centers(G, centers)
 
 
@@ -238,29 +324,72 @@ def _scaled_expectation(
     )
 
 
-def _common_neighbor_counts(
-    packed: np.ndarray, xs: np.ndarray, ys: np.ndarray, cls: np.ndarray, classes: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yields (c, counts) for each class c that has edges, where counts[v] is
-    the number of edges (xs[i], ys[i]) with cls[i] = c and v adjacent to both
-    ends.  packed holds the adjacency rows as little-endian bit rows.  Edges
-    go through in blocks of at most _BLOCK adjacency entries, so no
-    (edges x n) array is ever built."""
-    n = len(packed)
-    order = np.argsort(cls, kind="stable")
-    xs, ys = xs[order], ys[order]
-    bounds = np.searchsorted(cls[order], np.arange(classes + 1)).tolist()
-    block = max(1, _BLOCK // n)
-    for c in range(classes):
-        if bounds[c] == bounds[c + 1]:
-            continue
-        counts = np.zeros(n, dtype=np.int64)
-        for lo in range(bounds[c], bounds[c + 1], block):
-            hi = min(lo + block, bounds[c + 1])
-            both = packed[xs[lo:hi]] & packed[ys[lo:hi]]
-            bits = np.unpackbits(both, axis=1, count=n, bitorder="little")
-            counts += bits.sum(axis=0, dtype=np.int64)
-        yield c, counts
+def _class_counts(values: list[int], classes: np.ndarray) -> dict[int, int]:
+    """values[c] -> the number of entries of classes equal to c, for each c
+    that occurs."""
+    counts = np.bincount(classes, minlength=len(values)).tolist()
+    return {v: c for v, c in zip(values, counts) if c}
+
+
+def _to_limbs(values: list[int], limbs: int) -> np.ndarray:
+    """(len(values), limbs) int64 array of the 32-bit limbs of each
+    non-negative int, least significant first."""
+    raw = b"".join(v.to_bytes(4 * limbs, "little") for v in values)
+    return np.frombuffer(raw, dtype="<u4").reshape(len(values), limbs).astype(np.int64)
+
+
+def _sum_sorted(
+    keys: np.ndarray, table: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct keys, sums): for sorted keys, each distinct key once, in
+    order, with the sum of table[rows[i]] over its entries i.  Each block of
+    at most _BLOCK gathered entries is summed per key with one reduceat; a
+    key split between blocks is merged by one more."""
+    # An empty first entry, so that no keys give empty results.
+    heads, sums = [np.zeros(0, keys.dtype)], [np.zeros((0, table.shape[1]), table.dtype)]
+    step = max(1, _BLOCK // table.shape[1])
+    for lo in range(0, len(keys), step):
+        block = keys[lo : lo + step]
+        first = np.flatnonzero(np.concatenate(([True], block[1:] != block[:-1])))
+        heads.append(block[first])
+        sums.append(np.add.reduceat(table[rows[lo : lo + step]], first, axis=0))
+    if len(heads) <= 2:  # at most one block: its keys are distinct
+        return heads[-1], sums[-1]
+    keys = np.concatenate(heads)
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[first], np.add.reduceat(np.concatenate(sums), first, axis=0)
+
+
+def _first_minimum(sums: np.ndarray, vertices: np.ndarray) -> tuple[int, int]:
+    """(v, value) for the least vertices[i] whose int64 row sums[i], read as
+    sum_l sums[i, l] * 2**(32 l), is least.
+
+    On a copy, carries are passed up one limb per vectorised pass until every
+    limb but the top one lies in [0, 2**32); the top limb keeps the sign.
+    Rows then compare as their limbs do from the top down, so the candidates
+    are cut to the least top limb and then to the least limb at the highest
+    position where the survivors still differ.  Only the winning row becomes
+    a Python int.
+    """
+    r = sums.copy()
+    while True:
+        carry = r[:, :-1] >> 32
+        if not carry.any():
+            break
+        r[:, :-1] &= 0xFFFFFFFF
+        r[:, 1:] += carry
+    cand = np.arange(len(r))
+    limb = r.shape[1] - 1
+    while len(cand) > 1:
+        column = r[cand, limb]
+        cand = cand[column == column.min()]
+        differ = np.flatnonzero((r[cand] != r[cand[0]]).any(axis=0))
+        if not len(differ):
+            break
+        limb = differ[-1]
+    first = cand[np.argmin(vertices[cand])]
+    low = int.from_bytes(r[first, :-1].astype("<u4").tobytes(), "little")
+    return int(vertices[first]), (int(r[first, -1]) << (32 * (r.shape[1] - 1))) + low
 
 
 def select_cover_expectation(
@@ -275,82 +404,120 @@ def select_cover_expectation(
     count, which is therefore bounded by the initial expectation n^2/(e*k).
 
     An edge is active while both endpoints are uncovered; its weight
-    (n - u_e)**j depends only on its union-size class u_e.  Each step counts,
-    with numpy, the active edges per class at every vertex and inside every
-    neighborhood, then combines those int64 counts with one exact power per
-    class and per distinct degree.  The centers are exactly those of the
-    per-edge computation, ties included.
+    (n - u_e)**j depends only on its union size u_e, and an uncovered
+    vertex's weight d(n - d)**j only on its degree.  Picking v changes the
+    current expectation `now` to val[v], with
 
-    Per step: O(m log m) numpy work on the edge arrays, and O(n + m) big-int
-    multiply-adds.  When some edge has a common neighbor, counting the active
-    edges inside each N(v) adds O(m n) bit operations on a packed n x n
-    adjacency of n^2/8 bytes, taken in blocks of _BLOCK entries, and one
-    big-int multiply-add per (class, v) with a nonzero count.  On a
-    triangle-free graph nothing lies inside a neighborhood, and that part is
-    skipped.  arrays is _edge_arrays(G, k) when the caller already has it.
+        val[v] - now = sum_{x in N(v), x uncovered} delta[x] - pair[v],
+        delta[x] = (weights of the active edges at x) - d(x) (n - d(x))**j,
+
+    where pair[v] is the weight of the active edges inside N(v), which the
+    sum counts twice.  A vertex with no uncovered neighbour has val = now.
+
+    Limb layout.  Each step writes its powers, one Python int per distinct
+    union size and degree, as L little-endian 32-bit limbs, with L = (bits of
+    the largest power) // 32 + 1, and keeps every per-vertex quantity as an
+    int64 row of L limbs, value sum_l row[l] * 2**(32 l), left unnormalised
+    while it is summed:
+    - delta, one row per uncovered vertex: the edge limbs summed over the
+      active directed edges out of it, less its vertex limbs;
+    - val - now, one row per vertex with an uncovered neighbour: delta summed
+      over the directed edges into uncovered vertices, less pair[v] from
+      _inside_sums.  The directed edges are sorted by source once per call
+      and masked each step, and _sum_sorted reduces them a block at a time;
+    - _first_minimum then passes the carries up and takes the least row from
+      the top limb down, the lowest of the vertices without an uncovered
+      neighbour standing for all of them.  Only the winning row becomes a
+      Python int, for the check against the previous expectation.
+
+    Exactness.  n <= MAX_VERTICES = 10^4 (a larger graph raises
+    CapabilityError), so degrees are below 2^14 and m < 2^26.  A limb is
+    below 2^32, so a delta entry is below 2^14 * 2^32 = 2^46 in size and a
+    sum of fewer than 2^14 of them below 2^60; pair[v] is below
+    m * 2^32 < 2^58 per limb (its float32 and float64 sums are bounded in
+    _inside_sums).  So every int64 partial sum is below 2^61 < 2^63, and a
+    carry pass keeps each entry below 2^62.
+
+    Per step: O((m + n) L) numpy work, in O(L + (m + n) L / _BLOCK) numpy
+    calls (a carry runs up at most L limbs, and each top-down cut moves to a
+    lower limb), plus one big-int power per distinct degree and union size.
+    When some edge has a common neighbour, pair[] adds O(m n) bit operations
+    on the packed adjacency in blocks of _BLOCK entries; on a triangle-free
+    graph it is skipped, and so is every edge whose weight is 0 (u_e = n at
+    j > 0, as on every edge of a complete multipartite graph).  Once every
+    vertex is covered each candidate scores 0, so the remaining centers are
+    all vertex 0.  The centers are exactly those of the per-edge big-int
+    computation, ties included.  arrays is _edge_arrays(G, k) when the
+    caller already has it.
     """
-    arrays = arrays or _edge_arrays(G, k)
+    if G.n > MAX_VERTICES:
+        raise CapabilityError(
+            f"select_cover_expectation needs n <= {MAX_VERTICES} for exact int64 "
+            f"limb sums (got n={G.n})"
+        )
+    a = arrays or _edge_arrays(G, k)
     n = G.n
-    degree, ex, ey = arrays.degree, arrays.ex, arrays.ey
-    degrees = degree.tolist()
-    sizes, edge_class = np.unique(arrays.union_size, return_inverse=True)
-    sizes = sizes.tolist()
-    classes = len(sizes)
-    neighbors, packed = arrays.neighbors, arrays.packed
+    sizes, edge_class = np.unique(a.union_size, return_inverse=True)
+    degrees, vertex_class = np.unique(a.degree, return_inverse=True)
+    sizes, degrees = sizes.tolist(), degrees.tolist()
+    arc_class = edge_class[a.edge_of]
 
     uncovered = np.ones(n, dtype=bool)
     centers: list[int] = []
     for step in range(k):
+        if not uncovered.any():
+            # Every candidate now scores 0, so the lowest index wins each step.
+            centers += [0] * (k - step)
+            break
         j = k - step - 1
-        # Weights at the exponent for *after* this pick.
-        weight = [(n - u) ** j for u in sizes]
-        active = uncovered[ex] & uncovered[ey]
-        active_class = edge_class[active]
-        degree_counts = Counter(degree[uncovered].tolist())
-        union_counts = {
-            sizes[c]: cnt
-            for c, cnt in enumerate(np.bincount(active_class, minlength=classes).tolist())
-            if cnt
-        }
+        active = uncovered[a.ex] & uncovered[a.ey]
+        union_counts = _class_counts(sizes, edge_class[active])
+        degree_counts = _class_counts(degrees, vertex_class[uncovered])
         now = _scaled_expectation(n, degree_counts, union_counts, j)
         # Previous-state expectation, scaled by n**(j+1).
         prev = _scaled_expectation(n, degree_counts, union_counts, j + 1)
 
-        # delta[x]: the change in `now` when x alone becomes covered, that is
-        # its active edges' weights minus its own vertex weight; 0 once covered.
-        vertex_weight = {d: d * (n - d) ** j for d in degree_counts}
-        delta = [0] * n
-        for x in np.flatnonzero(uncovered).tolist():
-            delta[x] = -vertex_weight[degrees[x]]
-        keys, counts = np.unique(
-            np.concatenate((ex[active], ey[active])) * classes
-            + np.concatenate((active_class, active_class)),
-            return_counts=True,
-        )
-        for key, cnt in zip(keys.tolist(), counts.tolist()):
-            x, c = divmod(key, classes)
-            delta[x] += cnt * weight[c]
-        # pair_bonus[v]: weight of the active edges inside N(v), which the
-        # sum over fresh(v) below counts twice.
-        pair_bonus = [0] * n
-        if packed is not None and len(active_class):
-            for c, row in _common_neighbor_counts(
-                packed, ex[active], ey[active], active_class, classes
-            ):
-                hit = np.flatnonzero(row)
-                for v, cnt in zip(hit.tolist(), row[hit].tolist()):
-                    pair_bonus[v] += cnt * weight[c]
-
-        vals = [now + sum(map(delta.__getitem__, nb)) - pair for nb, pair in
-                zip(neighbors, pair_bonus)]
-        best_val = min(vals)
-        best_v = vals.index(best_val)  # the lowest index, as a strict < scan picks
+        # Weights at the exponent for *after* this pick, as limb rows.
+        edge_weight = [(n - u) ** j for u in sizes]
+        vertex_weight = [d * (n - d) ** j for d in degrees]
+        limbs = max(edge_weight + vertex_weight).bit_length() // 32 + 1
+        weights = _to_limbs(edge_weight + vertex_weight, limbs)
+        edge_limbs, vertex_limbs = weights[: len(sizes)], weights[len(sizes) :]
+        weighted = edge_limbs.any(axis=1)
+        # delta[x]: the change in `now` when uncovered x alone becomes
+        # covered, that is its active edges' weights minus its own vertex
+        # weight; row rank[x] of delta.
+        rank = np.cumsum(uncovered) - 1
+        into = np.flatnonzero(uncovered[a.dst])  # arcs v -> x, x uncovered
+        live = into[uncovered[a.src[into]] & weighted[arc_class[into]]]
+        tails, incident = _sum_sorted(a.src[live], edge_limbs, arc_class[live])
+        delta = -vertex_limbs[vertex_class[uncovered]]
+        delta[rank[tails]] += incident
+        # val[v] - now for each v with an uncovered neighbour (touched): delta
+        # summed over the uncovered x in N(v), less the weight of the active
+        # edges inside N(v), which that sum counts twice.
+        touched, gain = _sum_sorted(a.src[into], delta, rank[a.dst[into]])
+        inside = active & weighted[edge_class] & a.shared
+        if inside.any():
+            apexes, pairs = _inside_sums(
+                a.packed, a.ex[inside], a.ey[inside], edge_class[inside], edge_limbs
+            )
+            gain[np.searchsorted(touched, apexes)] -= pairs
+        # Every vertex without an uncovered neighbour scores exactly now; the
+        # lowest of them stands for them all.
+        if len(touched) < n:
+            rest = np.ones(n, dtype=bool)
+            rest[touched] = False
+            touched = np.concatenate((touched, [np.argmax(rest)]))
+            gain = np.concatenate((gain, np.zeros((1, limbs), np.int64)))
+        best_v, best_gain = _first_minimum(gain, touched)
+        best_val = now + best_gain
         if best_val * n > prev:
             raise InvariantViolation(
                 "conditional expectation increased; selection logic is broken"
             )
         centers.append(best_v)
-        uncovered[neighbors[best_v]] = False
+        uncovered[a.dst[a.start[best_v] : a.start[best_v + 1]]] = False
 
     sel = selection_from_centers(G, centers)
     if Fraction(sel.uncovered_edges) * E_LOWER * k > n * n:

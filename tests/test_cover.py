@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +21,9 @@ from kdelete.corpus import (
 )
 from kdelete.cover import (
     CoverSelection,
+    _edge_arrays,
+    _inside_sums,
+    _to_limbs,
     _scaled_expectation,
     disjointify,
     even_parts,
@@ -30,7 +34,7 @@ from kdelete.cover import (
     selection_from_centers,
 )
 from kdelete.errors import InvariantViolation
-from kdelete.graphs import Graph, edges_inside, iter_bits
+from kdelete.graphs import Graph, bits_list, build_graph, edges_inside, iter_bits
 from kdelete.oracle import enumerate_graphs
 
 random_instances = st.builds(
@@ -77,6 +81,14 @@ def test_exact_u_small_values(c5):
     assert exact_u(c5, 2) == 3  # adjacent centers cover each other
     assert exact_u(cons.complete(4), 1) == 3  # N(v) induces a triangle
     assert exact_u(cons.complete(4), 2) == 6
+
+
+def test_expectation_cover_refuses_graphs_beyond_the_exact_limb_bound():
+    from kdelete.errors import CapabilityError
+    from kdelete.graphs import MAX_VERTICES
+
+    with pytest.raises(CapabilityError):
+        select_cover_expectation(build_graph(MAX_VERTICES + 1, []), 1)
 
 
 def test_exact_u_budget():
@@ -261,8 +273,10 @@ def assert_matches_plain(G: Graph, k: int) -> None:
     assert got.uncovered_edges == want.uncovered_edges
 
 
-@given(random_instances, st.integers(1, 6))
+@given(random_instances, st.integers(1, 30))
 def test_expectation_cover_matches_plain_reference(G, k):
+    # Up to k = 30 the powers run past 64 bits, so the limb sums carry and
+    # borrow across several 32-bit limbs.
     assert_matches_plain(G, k)
 
 
@@ -291,6 +305,39 @@ K4_FREE = k4_free_suite()
 @pytest.mark.parametrize("G", [G for _, G in K4_FREE], ids=[name for name, _ in K4_FREE])
 def test_expectation_cover_matches_plain_on_k4_free_suite(G):
     assert_matches_plain(G, 4)
+
+
+def _with_isolated(G: Graph, extra: int) -> Graph:
+    return build_graph(G.n + extra, G.edges)
+
+
+@pytest.mark.parametrize(
+    "G, k",
+    [
+        # Every edge of a complete multipartite graph has u_e = n, so its
+        # weight (n - u_e)**j is 0 at every j > 0.
+        (cons.complete_multipartite([3, 3, 3]), 2),
+        (cons.complete_multipartite([3, 3, 3]), 5),
+        (cons.complete_multipartite([4, 3, 2, 1]), 6),
+        (cons.complete_multipartite([1, 1, 1, 1, 1]), 3),
+        (cons.complete_multipartite([6, 6]), 4),
+        (build_graph(1, []), 1),
+        (build_graph(1, []), 4),
+        (build_graph(9, []), 5),
+        (_with_isolated(random_graph(12, 0.4, seed=2), 5), 7),
+        (_with_isolated(cons.complete(4), 3), 3),
+    ]
+    + [
+        # n around the byte and the 64-bit word boundaries of the bit rows
+        (random_graph(n, p, seed=n), k)
+        for n in (1, 7, 8, 9, 17, 33)
+        for p in (0.3, 0.7)
+        for k in sorted({1, 3, n})
+    ]
+    + [(random_graph(40, 0.2, seed=5), 39), (random_graph(40, 0.5, seed=6), 39)],
+)
+def test_expectation_cover_matches_plain_on_edge_cases(G, k):
+    assert_matches_plain(G, k)
 
 
 def test_expectation_cover_matches_plain_on_cover_suite():
@@ -367,6 +414,11 @@ def test_greedy_cover_matches_reference_on_all_small_graphs():
                 assert select_cover_greedy(G, k) == _reference_greedy(G, k)
 
 
+@given(random_instances, st.integers(1, 8))
+def test_greedy_cover_matches_reference_on_random_graphs(G, k):
+    assert select_cover_greedy(G, k) == _reference_greedy(G, k)
+
+
 def test_greedy_cover_matches_reference_on_random_n8_suite():
     for _, G in random_n8_suite():
         for k in range(1, 9):
@@ -377,9 +429,13 @@ def test_greedy_cover_matches_reference_on_random_n8_suite():
     "G",
     [cons.complete_multipartite([8, 8, 8]), mycielski(5), kneser(7, 2), windmill(7),
      cons.disjoint_union([cons.complete(5), cons.complete(5)]),
-     random_graph(16, 0.6, seed=4)],
-    # in 2K5 the second center is chosen by the inside term alone
-    ids=["k888", "mycielski5", "kneser7-2", "windmill7", "2k5", "random16"],
+     random_graph(16, 0.6, seed=4), random_graph(15, 0.35, seed=29),
+     random_graph(18, 0.15, seed=13)],
+    # In 2K5 the second center is chosen by the inside term alone.  On the
+    # last two the third center is wrong if the inside counts keep the edges
+    # the union has reached.
+    ids=["k888", "mycielski5", "kneser7-2", "windmill7", "2k5", "random16",
+         "random15", "random18"],
 )
 def test_greedy_cover_matches_reference_with_and_without_triangles(G):
     for k in range(1, 9):
@@ -388,3 +444,66 @@ def test_greedy_cover_matches_reference_with_and_without_triangles(G):
             select_cover_expectation(G, k), _reference_greedy(G, k),
             key=lambda sel: sel.uncovered_edges,
         )
+
+
+def _check_edge_arrays(G: Graph) -> None:
+    a = _edge_arrays(G, 1)
+    assert a.degree.tolist() == [G.degree(v) for v in range(G.n)]
+    assert list(zip(a.ex.tolist(), a.ey.tolist())) == list(G.edges)
+    assert a.union_size.tolist() == [
+        (G.adj[x] | G.adj[y]).bit_count() for x, y in G.edges
+    ]
+    shared = [bool(G.adj[x] & G.adj[y]) for x, y in G.edges]
+    assert a.shared.tolist() == shared
+    assert (a.packed is None) == (not any(shared))
+    for v in range(G.n):
+        assert a.src[a.start[v] : a.start[v + 1]].tolist() == [v] * G.degree(v)
+        assert sorted(a.dst[a.start[v] : a.start[v + 1]].tolist()) == bits_list(G.adj[v])
+    for x, y, e in zip(a.src.tolist(), a.dst.tolist(), a.edge_of.tolist()):
+        assert G.edges[e] == (min(x, y), max(x, y))
+
+
+def test_edge_arrays_match_per_edge_bit_counts_on_all_small_graphs():
+    for n in range(1, 6):
+        for G in enumerate_graphs(n):
+            _check_edge_arrays(G)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 63, 64, 65])
+def test_edge_arrays_match_per_edge_bit_counts_on_random_graphs(n):
+    for p in (0.1, 0.3, 0.6, 0.9):
+        for seed in range(3):
+            _check_edge_arrays(random_graph(n, p, seed=seed))
+
+
+def _inside_reference(G: Graph, weights: list[int]) -> list[int]:
+    """Per vertex v, the weights of the edges with v adjacent to both ends,
+    one bit at a time."""
+    out = [0] * G.n
+    for (x, y), w in zip(G.edges, weights):
+        for v in iter_bits(G.adj[x] & G.adj[y]):
+            out[v] += w
+    return out
+
+
+@pytest.mark.parametrize(
+    "G",
+    [cons.complete(60), cons.complete_multipartite([30] * 3),
+     random_graph(33, 0.6, seed=8), windmill(9)],
+    ids=["k60", "k30-30-30", "random33", "windmill9"],
+)
+def test_inside_sums_match_bit_loop_at_full_limbs(G):
+    """Limbs at 2**32 - 1 put 255 in every byte the float32 block sums
+    take; the limb sums must equal the Python-int reference exactly."""
+    values = [2**64 - 1, 2**32 - 1, 2**32, 1, 0, 0xFFFF_0000_FFFF]
+    edge_value = [values[i % len(values)] for i in range(G.m)]
+    a = _edge_arrays(G, 1)
+    index = np.arange(G.m) % len(values)
+    apexes, sums = _inside_sums(a.packed, a.ex, a.ey, index, _to_limbs(values, 2))
+    got = [0] * G.n
+    for v, row in zip(apexes.tolist(), sums.tolist()):
+        got[v] = sum(c << (32 * b) for b, c in enumerate(row))
+    assert got == _inside_reference(G, edge_value)
+    assert apexes.tolist() == [
+        v for v in range(G.n) if any(G.adj[v] >> x & G.adj[v] >> y & 1 for x, y in G.edges)
+    ]
