@@ -191,15 +191,15 @@ def _popcount(words: np.ndarray) -> np.ndarray:
 def _inside_sums(
     packed: np.ndarray, xs: np.ndarray, ys: np.ndarray, index: np.ndarray,
     table: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(apexes, sums): the vertices adjacent to both ends of some edge
-    (xs[i], ys[i]), ascending, and per apex v the int64 row that sums
-    table[index[i]] over those edges; table holds limbs below 2**32.
+) -> np.ndarray:
+    """(n, L) int64 rows: row v sums table[index[i]] over the edges
+    (xs[i], ys[i]) with v adjacent to both ends, and is 0 where there are
+    none; table holds limbs below 2**32.
 
     packed holds the adjacency as little-endian bit rows.  Each block of at
     most _BLOCK adjacency entries is ANDed, unpacked once and summed with one
     float32 matmul against the bytes of its weight rows, so no (edges x n) or
-    (edges x L) array is built; only the apex rows are put back into limbs.
+    (edges x L) array is built; only the nonzero rows are put back into limbs.
     A block has at most 2**16 edges, so its byte sums stay below
     2**16 * 255 < 2**24, which float32 holds exactly; their float64 totals
     stay below m * 255 < 2**34, and the limbs put back together from them
@@ -209,30 +209,16 @@ def _inside_sums(
     pieces = (table[:, :, None] >> _BYTE_SHIFTS & 0xFF).reshape(len(table), 4 * limbs)
     weights = pieces.astype(np.float32)
     out = np.zeros((n, 4 * limbs))
-    seen = np.zeros(packed.shape[1], dtype=np.uint8)
     rows = max(1, _BLOCK // n)
     for lo in range(0, len(xs), rows):
         both = packed[xs[lo : lo + rows]] & packed[ys[lo : lo + rows]]
-        seen |= np.bitwise_or.reduce(both, axis=0)
         bits = np.unpackbits(both, axis=1, count=n, bitorder="little")
         out += bits.T.astype(np.float32) @ weights[index[lo : lo + rows]]
-    apexes = np.flatnonzero(np.unpackbits(seen, count=n, bitorder="little"))
-    sums = out[apexes].astype(np.int64).reshape(len(apexes), limbs, 4)
-    return apexes, (sums << _BYTE_SHIFTS).sum(axis=2)
-
-
-def _unit_inside_sums(
-    packed: np.ndarray, ex: np.ndarray, ey: np.ndarray, edges: np.ndarray
-) -> np.ndarray:
-    """Per vertex v, the number of the masked edges with v adjacent to both
-    ends."""
-    apexes, sums = _inside_sums(
-        packed, ex[edges], ey[edges], np.zeros(np.count_nonzero(edges), np.intp),
-        np.ones((1, 1), np.int64),
-    )
-    out = np.zeros(len(packed), dtype=np.int64)
-    out[apexes] = sums[:, 0]
-    return out
+    sums = np.zeros((n, limbs), dtype=np.int64)
+    nonzero = out.any(axis=1)
+    parts = out[nonzero].astype(np.int64).reshape(-1, limbs, 4)
+    sums[nonzero] = (parts << _BYTE_SHIFTS).sum(axis=2)
+    return sums
 
 
 def select_cover_random(
@@ -264,28 +250,38 @@ def select_cover_greedy(
 
     With union U so far and W = N(v) \\ U, adding v covers the edges incident
     to W that stay inside U | W: gain_v = e(W, U) + e(G[W]).  One bincount
-    over the edges gives |N(w) & U| for every w, and a second sums it over the
-    w in W; the weights are integers and every sum stays below n^2 < 2^53, so
-    the float64 sums are exact.  e(G[W]) is the number of edges outside U with
-    v as a common neighbour of both ends: _inside_sums with unit weights
-    counts it once for all shared edges, and after each pick counts only the
-    edges the union reached, or the ones still outside it if those are fewer.
-    It is 0 on a triangle-free graph.  argmax takes the first maximum, the
-    lowest index, as a strict > scan does.  arrays is _edge_arrays(G, k) when
-    the caller already has it.
+    over the directed edges gives |N(w) & U| for every w, and a second sums
+    it over the w in W; the weights are integers and every sum stays below
+    n^2 < 2^53, so the float64 sums are exact.  e(G[W]) is the number of
+    edges with neither end in U and v adjacent to both ends: _inside_sums
+    with a unit weight counts it once for all shared edges, and after each
+    pick counts only the edges the union reached, or the ones still outside
+    it if those are fewer.  It is 0 on a triangle-free graph.  argmax takes
+    the first maximum, the lowest index, as a strict > scan does.  Once U
+    holds every vertex each gain is 0, so the remaining centers are all
+    vertex 0.  arrays is _edge_arrays(G, k) when the caller already has it.
     """
     arrays = arrays or _edge_arrays(G, k)
     n = G.n
     ex, ey, src, dst = arrays.ex, arrays.ey, arrays.src, arrays.dst
+    unit = np.ones((1, 1), dtype=np.int64)
+
+    def count_inside(edges: np.ndarray) -> np.ndarray:
+        index = np.zeros(np.count_nonzero(edges), dtype=np.intp)
+        return _inside_sums(arrays.packed, ex[edges], ey[edges], index, unit)[:, 0]
+
     # fresh: the edges outside the union that some vertex sees both ends of;
     # inside[v] counts those with both ends in N(v).  When the union reaches
     # some of them, inside is recounted from whichever side is smaller, the
     # edges that left or the edges that stay.
     fresh = arrays.shared.copy()
-    inside = _unit_inside_sums(arrays.packed, ex, ey, fresh) if fresh.any() else 0
+    inside = count_inside(fresh) if fresh.any() else 0
     in_union = np.zeros(n, dtype=bool)
     centers: list[int] = []
     for step in range(k):
+        if in_union.all():
+            centers += [0] * (k - step)
+            break
         into_union = np.bincount(src[in_union[dst]], minlength=n)
         gain = np.bincount(src, weights=(into_union * ~in_union)[dst], minlength=n)
         centers.append(int(np.argmax(gain + inside)))
@@ -296,9 +292,9 @@ def select_cover_greedy(
         if gone.any():
             fresh &= ~gone
             if np.count_nonzero(gone) < np.count_nonzero(fresh):
-                inside = inside - _unit_inside_sums(arrays.packed, ex, ey, gone)
+                inside = inside - count_inside(gone)
             else:
-                inside = _unit_inside_sums(arrays.packed, ex, ey, fresh)
+                inside = count_inside(fresh)
     return selection_from_centers(G, centers)
 
 
@@ -339,37 +335,32 @@ def _to_limbs(values: list[int], limbs: int) -> np.ndarray:
 
 
 def _sum_sorted(
-    keys: np.ndarray, table: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct keys, sums): for sorted keys, each distinct key once, in
-    order, with the sum of table[rows[i]] over its entries i.  Each block of
-    at most _BLOCK gathered entries is summed per key with one reduceat; a
-    key split between blocks is merged by one more."""
-    # An empty first entry, so that no keys give empty results.
-    heads, sums = [np.zeros(0, keys.dtype)], [np.zeros((0, table.shape[1]), table.dtype)]
+    keys: np.ndarray, table: np.ndarray, rows: np.ndarray, n: int
+) -> np.ndarray:
+    """(n, L) rows: row v sums table[rows[i]] over the entries i with
+    keys[i] = v, for sorted keys below n, and is 0 where there are none.
+    Each block of at most _BLOCK gathered entries is summed per key with one
+    reduceat and added into its keys' rows; a key split between two blocks is
+    added once from each."""
+    out = np.zeros((n, table.shape[1]), dtype=table.dtype)
     step = max(1, _BLOCK // table.shape[1])
     for lo in range(0, len(keys), step):
         block = keys[lo : lo + step]
         first = np.flatnonzero(np.concatenate(([True], block[1:] != block[:-1])))
-        heads.append(block[first])
-        sums.append(np.add.reduceat(table[rows[lo : lo + step]], first, axis=0))
-    if len(heads) <= 2:  # at most one block: its keys are distinct
-        return heads[-1], sums[-1]
-    keys = np.concatenate(heads)
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[first], np.add.reduceat(np.concatenate(sums), first, axis=0)
+        out[block[first]] += np.add.reduceat(table[rows[lo : lo + step]], first, axis=0)
+    return out
 
 
-def _first_minimum(sums: np.ndarray, vertices: np.ndarray) -> tuple[int, int]:
-    """(v, value) for the least vertices[i] whose int64 row sums[i], read as
-    sum_l sums[i, l] * 2**(32 l), is least.
+def _first_minimum(sums: np.ndarray) -> tuple[int, int]:
+    """(v, value) for the least v whose int64 row sums[v], read as
+    sum_l sums[v, l] * 2**(32 l), is least.
 
     On a copy, carries are passed up one limb per vectorised pass until every
     limb but the top one lies in [0, 2**32); the top limb keeps the sign.
     Rows then compare as their limbs do from the top down, so the candidates
     are cut to the least top limb and then to the least limb at the highest
-    position where the survivors still differ.  Only the winning row becomes
-    a Python int.
+    position where the survivors still differ; they stay in ascending order,
+    so the first survivor wins.  Only the winning row becomes a Python int.
     """
     r = sums.copy()
     while True:
@@ -387,9 +378,9 @@ def _first_minimum(sums: np.ndarray, vertices: np.ndarray) -> tuple[int, int]:
         if not len(differ):
             break
         limb = differ[-1]
-    first = cand[np.argmin(vertices[cand])]
+    first = int(cand[0])
     low = int.from_bytes(r[first, :-1].astype("<u4").tobytes(), "little")
-    return int(vertices[first]), (int(r[first, -1]) << (32 * (r.shape[1] - 1))) + low
+    return first, (int(r[first, -1]) << (32 * (r.shape[1] - 1))) + low
 
 
 def select_cover_expectation(
@@ -416,19 +407,20 @@ def select_cover_expectation(
 
     Limb layout.  Each step writes its powers, one Python int per distinct
     union size and degree, as L little-endian 32-bit limbs, with L = (bits of
-    the largest power) // 32 + 1, and keeps every per-vertex quantity as an
-    int64 row of L limbs, value sum_l row[l] * 2**(32 l), left unnormalised
-    while it is summed:
-    - delta, one row per uncovered vertex: the edge limbs summed over the
-      active directed edges out of it, less its vertex limbs;
-    - val - now, one row per vertex with an uncovered neighbour: delta summed
-      over the directed edges into uncovered vertices, less pair[v] from
-      _inside_sums.  The directed edges are sorted by source once per call
-      and masked each step, and _sum_sorted reduces them a block at a time;
+    the largest power) // 32 + 1, and keeps each per-vertex quantity as an
+    (n, L) int64 array whose row v, value sum_l row[l] * 2**(32 l), belongs
+    to vertex v and is left unnormalised while it is summed:
+    - delta: the edge limbs summed over the active directed edges out of v,
+      less v's vertex limbs if v is uncovered; 0 for a covered v;
+    - val - now: delta summed over the directed edges from v into uncovered
+      vertices, less pair[v] from _inside_sums; 0 for a v with no uncovered
+      neighbour.  The directed edges are sorted by source once per call and
+      masked each step, and _sum_sorted adds them into rows a block at a
+      time;
     - _first_minimum then passes the carries up and takes the least row from
-      the top limb down, the lowest of the vertices without an uncovered
-      neighbour standing for all of them.  Only the winning row becomes a
-      Python int, for the check against the previous expectation.
+      the top limb down, the lowest vertex among equal rows.  Only the
+      winning row becomes a Python int, for the check against the previous
+      expectation.
 
     Exactness.  n <= MAX_VERTICES = 10^4 (a larger graph raises
     CapabilityError), so degrees are below 2^14 and m < 2^26.  A limb is
@@ -486,31 +478,21 @@ def select_cover_expectation(
         weighted = edge_limbs.any(axis=1)
         # delta[x]: the change in `now` when uncovered x alone becomes
         # covered, that is its active edges' weights minus its own vertex
-        # weight; row rank[x] of delta.
-        rank = np.cumsum(uncovered) - 1
+        # weight; 0 for a covered x.
         into = np.flatnonzero(uncovered[a.dst])  # arcs v -> x, x uncovered
         live = into[uncovered[a.src[into]] & weighted[arc_class[into]]]
-        tails, incident = _sum_sorted(a.src[live], edge_limbs, arc_class[live])
-        delta = -vertex_limbs[vertex_class[uncovered]]
-        delta[rank[tails]] += incident
-        # val[v] - now for each v with an uncovered neighbour (touched): delta
-        # summed over the uncovered x in N(v), less the weight of the active
-        # edges inside N(v), which that sum counts twice.
-        touched, gain = _sum_sorted(a.src[into], delta, rank[a.dst[into]])
+        delta = _sum_sorted(a.src[live], edge_limbs, arc_class[live], n)
+        delta[uncovered] -= vertex_limbs[vertex_class[uncovered]]
+        # val[v] - now: delta summed over the uncovered x in N(v), less the
+        # weight of the active edges inside N(v), which that sum counts
+        # twice.  A vertex with no uncovered neighbour keeps a zero row.
+        gain = _sum_sorted(a.src[into], delta, a.dst[into], n)
         inside = active & weighted[edge_class] & a.shared
         if inside.any():
-            apexes, pairs = _inside_sums(
+            gain -= _inside_sums(
                 a.packed, a.ex[inside], a.ey[inside], edge_class[inside], edge_limbs
             )
-            gain[np.searchsorted(touched, apexes)] -= pairs
-        # Every vertex without an uncovered neighbour scores exactly now; the
-        # lowest of them stands for them all.
-        if len(touched) < n:
-            rest = np.ones(n, dtype=bool)
-            rest[touched] = False
-            touched = np.concatenate((touched, [np.argmax(rest)]))
-            gain = np.concatenate((gain, np.zeros((1, limbs), np.int64)))
-        best_v, best_gain = _first_minimum(gain, touched)
+        best_v, best_gain = _first_minimum(gain)
         best_val = now + best_gain
         if best_val * n > prev:
             raise InvariantViolation(

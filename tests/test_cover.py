@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kdelete import constructions as cons
+from kdelete import cover
 from kdelete._rng import derive_seed
 from kdelete.bounds import E_LOWER
 from kdelete.constructions import random_graph
@@ -489,21 +490,57 @@ def _inside_reference(G: Graph, weights: list[int]) -> list[int]:
 @pytest.mark.parametrize(
     "G",
     [cons.complete(60), cons.complete_multipartite([30] * 3),
-     random_graph(33, 0.6, seed=8), windmill(9)],
-    ids=["k60", "k30-30-30", "random33", "windmill9"],
+     random_graph(33, 0.6, seed=8), windmill(9),
+     cons.disjoint_union([windmill(4), cons.cycle(5), build_graph(2, [])])],
+    ids=["k60", "k30-30-30", "random33", "windmill9", "windmill4-c5-isolated"],
 )
 def test_inside_sums_match_bit_loop_at_full_limbs(G):
     """Limbs at 2**32 - 1 put 255 in every byte the float32 block sums
-    take; the limb sums must equal the Python-int reference exactly."""
+    take; every vertex's row, zero rows included, must equal the Python-int
+    reference exactly."""
     values = [2**64 - 1, 2**32 - 1, 2**32, 1, 0, 0xFFFF_0000_FFFF]
     edge_value = [values[i % len(values)] for i in range(G.m)]
     a = _edge_arrays(G, 1)
     index = np.arange(G.m) % len(values)
-    apexes, sums = _inside_sums(a.packed, a.ex, a.ey, index, _to_limbs(values, 2))
-    got = [0] * G.n
-    for v, row in zip(apexes.tolist(), sums.tolist()):
-        got[v] = sum(c << (32 * b) for b, c in enumerate(row))
+    sums = _inside_sums(a.packed, a.ex, a.ey, index, _to_limbs(values, 2))
+    assert sums.shape == (G.n, 2)
+    got = [sum(c << (32 * b) for b, c in enumerate(row)) for row in sums.tolist()]
     assert got == _inside_reference(G, edge_value)
-    assert apexes.tolist() == [
-        v for v in range(G.n) if any(G.adj[v] >> x & G.adj[v] >> y & 1 for x, y in G.edges)
-    ]
+
+
+def test_greedy_cover_stops_once_the_union_holds_every_vertex(monkeypatch):
+    """On K_{20,20} two centers cover every vertex; after that every gain is
+    0 and the remaining centers are vertex 0, with no further bincount
+    passes over the directed edges."""
+    G = cons.complete_multipartite([20, 20])
+    arrays = _edge_arrays(G, 30)
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def bincount(*args, **kwargs):
+            calls.append(None)
+            return np.bincount(*args, **kwargs)
+
+    monkeypatch.setattr(cover, "np", CountingNumpy())
+    sel = select_cover_greedy(G, 30, arrays)
+    assert sel == _reference_greedy(G, 30)
+    assert sel.centers == (0, 20) + (0,) * 28
+    assert len(calls) <= 2 * 2
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_selectors_match_references_across_block_boundaries(monkeypatch, block):
+    """A _BLOCK this small splits keys between the blocks of _sum_sorted and
+    runs the multi-block paths of _inside_sums and _edge_arrays; large k
+    makes the limb rows long, so the blocks hold few entries each."""
+    monkeypatch.setattr(cover, "_BLOCK", block)
+    graphs = [random_graph(10, 0.5, seed=1), random_graph(14, 0.3, seed=2),
+              random_graph(17, 0.6, seed=3), mycielski(4)]
+    for G in graphs:
+        for k in sorted({1, 4, G.n // 2, G.n, 2 * G.n}):
+            assert select_cover_greedy(G, k) == _reference_greedy(G, k)
+            assert_matches_plain(G, k)
