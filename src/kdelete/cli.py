@@ -20,6 +20,7 @@ printed as one line `internal error (<class>): ...`.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -246,7 +247,13 @@ def _cmd_verify(args, argv) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built by the first main call.
+
+    parse_args reads it without changing it and returns a fresh Namespace,
+    so in-process callers of main share it.
+    """
     parser = argparse.ArgumentParser(
         prog="kdelete",
         description="Partition graphs into k parts with provably few internal "

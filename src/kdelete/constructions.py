@@ -176,9 +176,8 @@ def second_eigenvalue(G: Graph) -> SpectralProfile:
     if n <= 1:
         return SpectralProfile(n, 0 if n == 1 else None, 0.0, 0.0)
     A = np.zeros((n, n))
-    for u, v in G.edges:
-        A[u, v] = 1.0
-        A[v, u] = 1.0
+    lo, hi = G.ends.T
+    A[lo, hi] = A[hi, lo] = 1.0
     mu, X = np.linalg.eigh(A)
     drift = float(np.linalg.norm(X.T @ X - np.eye(n)))
     if drift >= 1.0:

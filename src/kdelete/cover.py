@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
 import numpy as np
@@ -152,9 +152,8 @@ def _edge_arrays(G: Graph, k: int) -> _EdgeArrays:
     if G.n == 0:
         raise ValueError("cannot select centers in an empty graph")
     n, m = G.n, G.m
-    ends = np.fromiter(chain.from_iterable(G.edges), dtype=np.intp, count=2 * m)
-    ex, ey = ends[0::2], ends[1::2]
-    degree = np.bincount(ends, minlength=n)
+    ex, ey = G.ends[:, 0], G.ends[:, 1]
+    degree = np.bincount(G.ends.ravel(), minlength=n)
     order = np.argsort(np.concatenate((ex, ey)), kind="stable")
     src = np.concatenate((ex, ey))[order]
     dst = np.concatenate((ey, ex))[order]

@@ -6,17 +6,22 @@ popcounts of these masks, which big-int arithmetic handles efficiently up to
 the few-thousand-vertex scale this package targets.  A Graph also keeps one
 mask C_d per distinct degree d, so degree_sum(S) = sum_d d * |S & C_d| costs
 one AND and popcount per degree class instead of a step per vertex of S.
+The edges themselves come in two forms, a sorted tuple of (u, v) pairs and
+an (m, 2) int64 array of the same pairs; a Graph is built from one and
+derives the other on first use, so array code never walks the tuples.
 
 The text interchange format is a header line "n m" followed by m lines "u v",
 one edge per line; '#' starts a comment.  parse_edge_list reads it with numpy
-on the text's code points: it counts the tokens per line, converts all tokens
-in one int64 array, and checks shape, range and self-loops vectorised; each
+on the text's code points: it counts the tokens per line, decodes tokens of
+ASCII digits straight from their code points (any other token goes through
+int() on its str), and checks shape, range and self-loops vectorised; each
 error names the first offending line or edge, as a line-by-line parse would.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -34,12 +39,17 @@ _CYCLE_LIMIT = 15
 # is refused before a billion-row adjacency is allocated.
 MAX_VERTICES = 10_000
 
-# Character kinds by code point, read off str itself: 0 other, 1 space
-# (str.split), 2 line break (str.splitlines).  No space lies above U+3000,
-# so the last entry stands for every code point beyond it.
-_KIND = np.zeros(0x3002, dtype=np.uint8)
+# Character kinds by code point, read off str itself: 0 an ASCII digit, 1 any
+# other token character, 2 space (str.split), 3 line break (str.splitlines).
+# No space lies above U+3000, so the last entry stands for every code point
+# beyond it.
+_KIND = np.ones(0x3002, dtype=np.uint8)
+_KIND[ord("0") : ord("9") + 1] = 0
 for _c in filter(str.isspace, map(chr, range(0x3001))):
-    _KIND[ord(_c)] = 2 if len(f"x{_c}x".splitlines()) == 2 else 1
+    _KIND[ord(_c)] = 3 if len(f"x{_c}x".splitlines()) == 2 else 2
+
+# The longest token _scan decodes from code points: 10**18 - 1 < 2**63.
+_DIGITS = 18
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -61,16 +71,49 @@ def bits_list(mask: int) -> list[int]:
 
 
 class Graph:
-    """Immutable simple graph; construct through build_graph."""
+    """Immutable simple graph; construct through build_graph or parse_edge_list.
 
-    __slots__ = ("n", "m", "edges", "adj", "_degree_classes")
+    The edges come in one of two forms, and a Graph is built from exactly
+    one of them: `edges`, a sorted tuple of (u, v) pairs with u < v, or
+    `ends`, the same pairs as one read-only (m, 2) int64 array.  The other
+    form is derived on first use and kept, so counting and array code reads
+    `ends` and a parsed graph never builds its tuples unless a caller
+    iterates `edges`.
+    """
 
-    def __init__(self, n: int, edges: tuple[tuple[int, int], ...], adj: tuple[int, ...]):
+    __slots__ = ("n", "m", "_edges", "_ends", "adj", "_degree_classes")
+
+    def __init__(
+        self,
+        n: int,
+        edges: Optional[tuple[tuple[int, int], ...]],
+        adj: tuple[int, ...],
+        ends: Optional[np.ndarray] = None,
+    ):
+        if (edges is None) == (ends is None):
+            raise ValueError("give exactly one of edges and ends")
         self.n = n
-        self.m = len(edges)
-        self.edges = edges
+        self.m = len(edges) if ends is None else len(ends)
+        self._edges = edges
+        if ends is not None:
+            ends.flags.writeable = False
+        self._ends = ends
         self.adj = adj
         self._degree_classes: Optional[tuple[tuple[int, int], ...]] = None
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        if self._edges is None:
+            self._edges = tuple(zip(self._ends[:, 0].tolist(), self._ends[:, 1].tolist()))
+        return self._edges
+
+    @property
+    def ends(self) -> np.ndarray:
+        if self._ends is None:
+            flat = np.fromiter(chain.from_iterable(self._edges), np.int64, 2 * self.m)
+            self._ends = flat.reshape(-1, 2)
+            self._ends.flags.writeable = False
+        return self._ends
 
     @property
     def degree_classes(self) -> tuple[tuple[int, int], ...]:
@@ -120,7 +163,8 @@ class Graph:
         return build_graph(len(verts), edges), tuple(verts)
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        # adj and the edge set determine each other, so neither form is built
+        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
         return hash((self.n, self.edges))
@@ -324,21 +368,38 @@ def _find_cycle(
     return None
 
 
-def _tokens_per_line(text: str) -> tuple[str, np.ndarray]:
-    """The text without comments, and the tokens on each of its lines,
-    numbered as str.splitlines() numbers them."""
+def _scan(text: str) -> tuple[str, np.ndarray, Optional[np.ndarray]]:
+    """The text without comments; the tokens on each of its lines, numbered
+    as str.splitlines() numbers them; and every token's value in order when
+    each token is 1 to _DIGITS ASCII digits, else None.
+
+    The values are decoded from the code points, one digit place at a time
+    from the right over the tokens that are that long, so no str is made
+    per token.  Any other token (a sign, '_', a non-ASCII digit, a longer
+    run) leaves the decode to int() on str tokens.
+    """
     if "#" in text:  # a comment runs from '#' to the end of its line
         text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     cp = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     kind = np.take(_KIND, cp, mode="clip")
-    blank = kind != 0
-    start = ~blank
-    start[1:] &= blank[:-1]
-    breaks = np.flatnonzero(kind == 2)
+    solid = kind < 2
+    start, stop = solid.copy(), solid.copy()
+    start[1:] &= ~solid[:-1]
+    stop[:-1] &= ~solid[1:]
+    breaks = (kind == 3).nonzero()[0]
     # the "\n" of a "\r\n" pair ends no line of its own
     breaks = breaks[(cp[breaks] != 10) | (cp[breaks - 1] != 13) | (breaks == 0)]
-    starts = np.flatnonzero(start)
-    return text, np.diff(np.concatenate(([0], np.searchsorted(starts, breaks), [len(starts)])))
+    starts, stops = start.nonzero()[0], stop.nonzero()[0]
+    bounds = np.concatenate(([0], starts.searchsorted(breaks), [len(starts)]))
+    per_line = bounds[1:] - bounds[:-1]
+    size = stops - starts + 1
+    if not len(starts) or (kind == 1).any() or size.max() > _DIGITS:
+        return text, per_line, None
+    value = cp[stops].astype(np.int64) - ord("0")
+    for place in range(1, size.max()):
+        longer = (size > place).nonzero()[0]
+        value[longer] += (cp[stops[longer] - place] - ord("0")) * np.int64(10) ** place
+    return text, per_line, value
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -347,13 +408,17 @@ def parse_edge_list(text: str) -> Graph:
     Raises CapabilityError when the header announces more than MAX_VERTICES
     vertices, and ValueError on any other malformed input, worded for the
     first offending line or edge as a line-by-line parse would find it.
-    Duplicates go through one sort of u * n + v (u < v), and each adjacency
-    int is read from a packed little-endian bit row.
+    When every token is 1 to _DIGITS ASCII digits the integers come straight
+    from the code points (_scan) and no str is made per token; any other
+    text is split into str tokens and converted by int(), with the same
+    values and messages.  Duplicates go through one sort of u * n + v
+    (u < v), the Graph keeps the result as its `ends` array, and each
+    adjacency int is read from a packed little-endian bit row.
     """
-    text, per_line = _tokens_per_line(text)
-    rows = np.flatnonzero(per_line)  # the nonempty lines
+    text, per_line, values = _scan(text)
+    rows = per_line.nonzero()[0]  # the nonempty lines
     counts = per_line[rows]
-    tokens = text.split()
+    tokens = text.split() if values is None else values
 
     def row(i: int) -> str:
         return text.splitlines()[rows[i]].strip()
@@ -369,11 +434,11 @@ def parse_edge_list(text: str) -> Graph:
         )
     if len(rows) - 1 != m:
         raise ValueError(f"header announces {m} edges but {len(rows) - 1} lines follow")
-    misshapen = np.flatnonzero(counts[1:] != 2)
+    misshapen = (counts[1:] != 2).nonzero()[0]
     body = tokens[2 : 2 + 2 * (misshapen[0] if len(misshapen) else m)]
     try:
-        # int() on each token in order, so the first bad literal raises
-        ends = np.array(body, dtype=np.int64).reshape(-1, 2)
+        # int() on each str token in order, so the first bad literal raises
+        ends = np.asarray(body, dtype=np.int64).reshape(-1, 2)
     except OverflowError:  # such an endpoint is outside 0..n-1 anyway
         ends = np.array([x if 0 <= x < n else -1 for x in map(int, body)]).reshape(-1, 2)
     if len(misshapen):
@@ -381,18 +446,20 @@ def parse_edge_list(text: str) -> Graph:
     if n < 0:
         raise ValueError("n must be nonnegative")
     lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
-    wrong = np.flatnonzero((lo < 0) | (hi >= n) | (lo == hi))
+    wrong = ((lo < 0) | (hi >= n) | (lo == hi)).nonzero()[0]
     if len(wrong):
         i = wrong[0]
         e = (int(body[2 * i]), int(body[2 * i + 1]))
         if lo[i] < 0 or hi[i] >= n:
             raise ValueError(f"edge {e} has an endpoint outside 0..{n - 1}")
         raise ValueError(f"edge {e} is a self-loop")
-    del tokens, body  # the token strings outweigh the graph built from them
+    del tokens, body  # str tokens outweigh the graph built from them
     keys = np.sort(lo * n + hi)
     first = np.ones(len(keys), dtype=bool)  # the first copy of each edge
     first[1:] = keys[1:] != keys[:-1]
-    lo, hi = np.divmod(keys[first], max(n, 1))
+    keys = keys[first]
+    both = np.empty((2, len(keys)), dtype=np.int64)  # lo over hi; both.T is G.ends
+    lo, hi = np.divmod(keys, max(n, 1), out=(both[0], both[1]))
     width = n // 8 + 1
     src, dst = np.concatenate((lo, hi)), np.concatenate((hi, lo))
     packed = np.zeros(n * width, dtype=np.uint8)
@@ -400,7 +467,7 @@ def parse_edge_list(text: str) -> Graph:
     np.add.at(packed, src * width + dst // 8, (1 << dst % 8).astype(np.uint8))
     buf = packed.tobytes()
     adj = tuple(int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width))
-    return Graph(n, tuple(zip(lo.tolist(), hi.tolist())), adj)
+    return Graph(n, None, adj, ends=both.T)
 
 
 def format_edge_list(G: Graph) -> str:

@@ -20,6 +20,8 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 
+import numpy as np
+
 from ._rng import SplitMix64, derive_seed
 from .bounds import iroot
 from .errors import CapabilityError, InvariantViolation
@@ -200,14 +202,12 @@ def _grouping_count(k: int, sizes: tuple[int, ...]) -> int:
 
 def _pair_weights(G: Graph, fine: VertexPartition) -> list[list[int]]:
     k = fine.k
-    assign = fine.assignment()
-    w = [[0] * k for _ in range(k)]
-    for u, v in G.edges:
-        a, b = assign[u], assign[v]
-        if a != b:
-            w[a][b] += 1
-            w[b][a] += 1
-    return w
+    assign = np.array(fine.assignment(), dtype=np.intp)
+    a, b = assign[G.ends[:, 0]], assign[G.ends[:, 1]]
+    w = np.bincount(a * k + b, minlength=k * k).reshape(k, k)
+    w = w + w.T
+    np.fill_diagonal(w, 0)  # the blocks' own edges join no two labels
+    return w.tolist()
 
 
 def _grouping_internal(w, groups) -> int:

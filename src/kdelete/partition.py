@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ._rng import SplitMix64, derive_seed
 from .errors import InvariantViolation
 from .graphs import Graph, bits_list, iter_bits
@@ -58,15 +60,19 @@ class VertexPartition:
                 out[v] = i
         return out
 
-    def internal_edges(self, G: Graph) -> tuple[tuple[int, int], ...]:
+    def _inside(self, G: Graph) -> np.ndarray:
+        """Per edge of G.ends, whether both ends share a block."""
         if G.n != self.n:
             raise ValueError("graph size does not match partition")
-        lookup = self.assignment()
-        return tuple((u, v) for u, v in G.edges if lookup[u] == lookup[v])
+        lookup = np.array(self.assignment(), dtype=np.intp)
+        return lookup[G.ends[:, 0]] == lookup[G.ends[:, 1]]
+
+    def internal_edges(self, G: Graph) -> tuple[tuple[int, int], ...]:
+        lo, hi = G.ends[self._inside(G)].T.tolist()
+        return tuple(zip(lo, hi))
 
     def internal_count(self, G: Graph) -> int:
-        lookup = self.assignment()
-        return sum(1 for u, v in G.edges if lookup[u] == lookup[v])
+        return int(np.count_nonzero(self._inside(G)))
 
     def crossing_count(self, G: Graph) -> int:
         return G.m - self.internal_count(G)

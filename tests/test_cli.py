@@ -425,3 +425,52 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == C5_TEXT
+
+
+def _outcomes(calls, fresh, capsys, monkeypatch):
+    """(exit code, stdout) of each main call in turn; a fresh call builds
+    its parser anew, as a new process does."""
+    import io
+
+    out = []
+    for argv, stdin_text in calls:
+        if fresh:
+            cli.build_parser.cache_clear()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out.append((code, capsys.readouterr().out))
+    return out
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch, tmp_path):
+    el = tmp_path / "petersen.el"
+    el.write_text(_petersen_text())
+    calls = [
+        (["partition", "--method", "nonsense", "--k", "2"], ""),
+        (["--help"], ""),
+        (["cover", "--k", "2", "--input", str(el)], ""),
+        (["cover", "--k", "2"], C5_TEXT),  # no --input left over: stdin is read
+        (["maxcut", "--help"], ""),
+        (["oracle", "h", "--k", "3"], C5_TEXT),
+        (["gen", "--kind", "cycle", "--n", "5"], ""),
+        (["cover"], C5_TEXT),  # --k is required
+    ]
+    fresh = _outcomes(calls, True, capsys, monkeypatch)
+    shared = _outcomes(calls, False, capsys, monkeypatch)
+    assert shared == fresh
+    assert [code for code, _ in shared] == [2, 0, 0, 0, 0, 0, 0, 2]
+    assert cli.build_parser.cache_info().misses == 1  # built once, then reused
+    stdin_report, file_report = json.loads(shared[3][1]), json.loads(shared[2][1])
+    assert stdin_report["outputs"] != file_report["outputs"]
+
+
+def test_parser_is_not_built_at_import():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import kdelete.cli as c; print(c.build_parser.cache_info().currsize)"],
+        capture_output=True, text=True,
+    )
+    assert proc.stdout == "0\n"

@@ -5,6 +5,7 @@ import signal
 import sys
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +66,30 @@ def test_build_graph_rejects_loops_and_range():
 @given(graphs)
 def test_edge_list_roundtrip(G):
     assert parse_edge_list(format_edge_list(G)).edges == G.edges
+
+
+@given(graphs)
+def test_parsed_and_built_graphs_are_the_same_graph(G):
+    # parse_edge_list keeps the edges as an array, build_graph as tuples
+    H = parse_edge_list(format_edge_list(G))
+    assert H == G and hash(H) == hash(G)
+    assert H.m == G.m and H.adj == G.adj
+    assert np.array_equal(H.ends, G.ends) and H.edges == G.edges
+    assert not H.ends.flags.writeable and not G.ends.flags.writeable
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_graph_without_edges_has_both_forms(n):
+    for G in (build_graph(n, []), parse_edge_list(f"{n} 0\n")):
+        assert G.m == 0 and G.edges == ()
+        assert G.ends.shape == (0, 2) and G.ends.dtype == np.int64
+
+
+def test_graph_takes_exactly_one_edge_form():
+    with pytest.raises(ValueError):
+        Graph(2, ((0, 1),), (2, 1), ends=np.array([[0, 1]]))
+    with pytest.raises(ValueError):
+        Graph(2, None, (2, 1))
 
 
 def test_parse_edge_list_header_and_comments():
@@ -333,12 +358,13 @@ def _reference_parse(text):
 
 
 # Digits, signs, '_', '#', blanks (non-ASCII ones too), every str.splitlines()
-# break, a non-ASCII digit, a token beyond int64 and one beyond int()'s
-# default digit limit.
+# break, non-ASCII digits (one full-width), leading zeros, the longest token
+# decoded from code points and one digit more, a token beyond int64 and one
+# beyond int()'s default digit limit.
 _PIECES = (
     list("0123456789-+_#") + [" ", "\t", "\x1f", "\xa0", "\u3000", "\n", "\r", "\r\n"]
     + ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\u0663"]
-    + ["9" * 20, "7" * 4301]
+    + ["\uff11", "0007", "9" * 18, "9" * 19, "9" * 20, "7" * 4301]
 )
 _noise = st.lists(st.sampled_from(_PIECES), max_size=30).map("".join)
 
@@ -364,6 +390,8 @@ def _outcome(parse, text):
         G = parse(text)
     except (ValueError, CapabilityError) as exc:
         return type(exc), str(exc)
+    assert G.ends.dtype == np.int64
+    assert np.array_equal(G.ends, np.array(G.edges).reshape(-1, 2))
     return G.n, G.edges, G.adj
 
 

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from kdelete import constructions as cons
 from kdelete.constructions import random_graph
 from kdelete.errors import InvariantViolation
-from kdelete.graphs import edges_inside, mask_of
+from kdelete.graphs import edges_inside, format_edge_list, mask_of, parse_edge_list
+from kdelete.maxcut import _pair_weights
 from kdelete.partition import (
     VertexPartition,
     balanced_partition,
@@ -32,6 +33,35 @@ def test_partition_invariants():
         VertexPartition(4, (0b0011, 0b0110))  # overlap
     with pytest.raises(InvariantViolation):
         VertexPartition(4, (0b0011,))  # not covering
+
+
+@given(random_instances, st.integers(1, 5), st.booleans(), st.randoms(use_true_random=False))
+def test_edge_array_counts_match_per_edge_loops(G, k, parsed, rnd):
+    if parsed:  # array-backed rather than tuple-backed
+        G = parse_edge_list(format_edge_list(G))
+    blocks = [0] * k
+    for v in range(G.n):
+        blocks[rnd.randrange(k)] |= 1 << v
+    part = VertexPartition(G.n, tuple(blocks))
+    label = part.assignment()
+    inside = tuple((u, v) for u, v in G.edges if label[u] == label[v])
+    weights = [[0] * k for _ in range(k)]
+    for u, v in G.edges:
+        if label[u] != label[v]:
+            weights[label[u]][label[v]] += 1
+            weights[label[v]][label[u]] += 1
+    assert part.internal_edges(G) == inside
+    assert part.internal_count(G) == len(inside)
+    assert part.crossing_count(G) == G.m - len(inside)
+    assert _pair_weights(G, part) == weights
+
+
+def test_counts_refuse_a_graph_of_another_size():
+    part = VertexPartition(4, (0b0011, 0b1100))
+    G = cons.cycle(3)
+    for count in (part.internal_edges, part.internal_count, part.crossing_count):
+        with pytest.raises(ValueError, match="graph size does not match partition"):
+            count(G)
 
 
 def test_counting_against_each_other(petersen):
