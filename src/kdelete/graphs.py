@@ -6,9 +6,10 @@ popcounts of these masks, which big-int arithmetic handles efficiently up to
 the few-thousand-vertex scale this package targets.  A Graph also keeps one
 mask C_d per distinct degree d, so degree_sum(S) = sum_d d * |S & C_d| costs
 one AND and popcount per degree class instead of a step per vertex of S.
-The edges themselves come in two forms, a sorted tuple of (u, v) pairs and
-an (m, 2) int64 array of the same pairs; a Graph is built from one and
-derives the other on first use, so array code never walks the tuples.
+The edges are kept in one form, `ends`, an (m, 2) int64 array of the pairs
+u < v in increasing order of u * n + v, and every Graph is made from it by
+_graph.  build_graph and parse_edge_list check and dedupe their pairs in
+_canonical_ends; induced and delete_edges take rows straight from `ends`.
 
 The text interchange format is a header line "n m" followed by m lines "u v",
 one edge per line; '#' starts a comment.  parse_edge_list reads it with numpy
@@ -51,6 +52,8 @@ for _c in filter(str.isspace, map(chr, range(0x3001))):
 # The longest token _scan decodes from code points: 10**18 - 1 < 2**63.
 _DIGITS = 18
 
+_BIT = (1 << np.arange(8)).astype(np.uint8)  # the bit of each place in a byte
+
 
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
@@ -73,47 +76,28 @@ def bits_list(mask: int) -> list[int]:
 class Graph:
     """Immutable simple graph; construct through build_graph or parse_edge_list.
 
-    The edges come in one of two forms, and a Graph is built from exactly
-    one of them: `edges`, a sorted tuple of (u, v) pairs with u < v, or
-    `ends`, the same pairs as one read-only (m, 2) int64 array.  The other
-    form is derived on first use and kept, so counting and array code reads
-    `ends` and a parsed graph never builds its tuples unless a caller
-    iterates `edges`.
+    `ends` holds the edges as one read-only, C-contiguous (m, 2) int64 array
+    of pairs (u, v) with u < v, strictly increasing in u * n + v; adj[v] is
+    the mask of v's neighbours.  `edges` is the same pairs as a tuple of
+    tuples, built on first use and kept.
     """
 
-    __slots__ = ("n", "m", "_edges", "_ends", "adj", "_degree_classes")
+    __slots__ = ("n", "m", "ends", "adj", "_edges", "_degree_classes")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Optional[tuple[tuple[int, int], ...]],
-        adj: tuple[int, ...],
-        ends: Optional[np.ndarray] = None,
-    ):
-        if (edges is None) == (ends is None):
-            raise ValueError("give exactly one of edges and ends")
+    def __init__(self, n: int, ends: np.ndarray, adj: tuple[int, ...]):
+        ends.flags.writeable = False
         self.n = n
-        self.m = len(edges) if ends is None else len(ends)
-        self._edges = edges
-        if ends is not None:
-            ends.flags.writeable = False
-        self._ends = ends
+        self.m = len(ends)
+        self.ends = ends
         self.adj = adj
+        self._edges: Optional[tuple[tuple[int, int], ...]] = None
         self._degree_classes: Optional[tuple[tuple[int, int], ...]] = None
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         if self._edges is None:
-            self._edges = tuple(zip(self._ends[:, 0].tolist(), self._ends[:, 1].tolist()))
+            self._edges = tuple(zip(self.ends[:, 0].tolist(), self.ends[:, 1].tolist()))
         return self._edges
-
-    @property
-    def ends(self) -> np.ndarray:
-        if self._ends is None:
-            flat = np.fromiter(chain.from_iterable(self._edges), np.int64, 2 * self.m)
-            self._ends = flat.reshape(-1, 2)
-            self._ends.flags.writeable = False
-        return self._ends
 
     @property
     def degree_classes(self) -> tuple[tuple[int, int], ...]:
@@ -133,63 +117,96 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def delete_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        drop = set()
-        for u, v in pairs:
-            e = (u, v) if u < v else (v, u)
-            if not self.has_edge(*e):
-                raise ValueError(f"edge ({u}, {v}) not present")
-            drop.add(e)
-        kept = tuple(e for e in self.edges if e not in drop)
-        return build_graph(self.n, kept)
+        """The graph without the given pairs, each of which must be an edge."""
+        flat = list(chain.from_iterable(pairs))
+        drop = np.array(flat, dtype=np.int64).reshape(-1, 2)
+        lo, hi = drop.min(axis=1), drop.max(axis=1)
+        keys, own = lo * self.n + hi, self.ends[:, 0] * self.n + self.ends[:, 1]
+        missing = ((lo < 0) | (hi >= self.n) | ~np.isin(keys, own)).nonzero()[0]
+        if len(missing):
+            i = missing[0]
+            raise ValueError(f"edge ({flat[2 * i]}, {flat[2 * i + 1]}) not present")
+        return _graph(self.n, self.ends[~np.isin(own, keys)])
 
     def induced(self, vmask: int) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on the masked vertices plus the local->global map.
-        The full mask returns the graph itself, which is immutable."""
+        The full mask returns the graph itself, which is immutable.  Only the
+        runs of `ends` rows whose lower end is in the piece are read, and
+        relabelling keeps their order, so the kept rows are canonical."""
         if vmask == self.full_mask:
             return self, tuple(range(self.n))
         if vmask & ~self.full_mask:
             raise ValueError("vertex mask out of range")
-        verts = bits_list(vmask)
-        index = {g: i for i, g in enumerate(verts)}
-        edges = []
-        for g in verts:
-            for h in iter_bits(self.adj[g] & vmask):
-                if g < h:
-                    edges.append((index[g], index[h]))
-        return build_graph(len(verts), edges), tuple(verts)
+        verts = np.array(bits_list(vmask), dtype=np.int64)
+        local = np.zeros(self.n, dtype=np.int64)  # 1 + local index, 0 outside
+        local[verts] = np.arange(1, len(verts) + 1)
+        first = self.ends[:, 0]
+        stop = first.searchsorted(verts, "right")
+        count = stop - first.searchsorted(verts)
+        rows = np.repeat(stop - count.cumsum(), count)  # the runs laid end to end
+        rows += np.arange(len(rows))
+        pairs = local[self.ends[rows]]
+        return _graph(len(verts), pairs[pairs[:, 1] > 0] - 1), tuple(verts.tolist())
 
     def __eq__(self, other):
-        # adj and the edge set determine each other, so neither form is built
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
-    """Validate, deduplicate and normalize an edge list into a Graph."""
+def _graph(n: int, ends: np.ndarray) -> Graph:
+    """The Graph on canonical `ends`, each adj int read off a packed bit row."""
+    width = n // 8 + 1
+    src, dst = ends.ravel(), ends[:, ::-1].ravel()
+    packed = np.zeros(n * width, dtype=np.uint8)
+    # each (src, dst) is distinct, so adding the bits of one byte ORs them
+    np.add.at(packed, src * width + (dst >> 3), _BIT[dst & 7])
+    buf = packed.tobytes()
+    adj = [int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)]
+    return Graph(n, ends, tuple(adj))
+
+
+def _canonical_ends(n: int, flat) -> np.ndarray:
+    """Canonical ends of the pairs (flat[0], flat[1]), (flat[2], flat[3]), ...
+
+    The ints or str tokens are read by int() in order, so a bad literal
+    raises first; then n < 0, then the first pair out of range or a loop, as
+    a loop over the pairs words it.  Duplicates go through one sort.
+    """
+    try:
+        ends = np.asarray(flat, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # such an endpoint is outside 0..n-1 anyway
+        ends = np.array([x if 0 <= x < n else -1 for x in map(int, flat)]).reshape(-1, 2)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    seen = set()
-    for u, v in edge_list:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-        if u == v:
-            raise ValueError(f"edge ({u}, {v}) is a self-loop")
-        seen.add((u, v) if u < v else (v, u))
-    edges = tuple(sorted(seen))
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(n, edges, tuple(adj))
+    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+    wrong = ((lo < 0) | (hi >= n) | (lo == hi)).nonzero()[0]
+    if len(wrong):
+        i = wrong[0]
+        e = (int(flat[2 * i]), int(flat[2 * i + 1]))
+        if lo[i] < 0 or hi[i] >= n:
+            raise ValueError(f"edge {e} has an endpoint outside 0..{n - 1}")
+        raise ValueError(f"edge {e} is a self-loop")
+    keys = np.sort(lo * n + hi)
+    first = np.ones(len(keys), dtype=bool)  # the first copy of each edge
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    ends = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, max(n, 1), out=(ends[:, 0], ends[:, 1]))
+    return ends
+
+
+def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
+    """Validate, deduplicate and normalize an edge list into a Graph."""
+    pairs = list(edge_list)
+    if set(map(len, pairs)) - {2}:
+        raise ValueError("each edge must be a pair (u, v)")
+    return _graph(n, _canonical_ends(n, list(chain.from_iterable(pairs))))
 
 
 def degree_sum(G: Graph, S: int) -> int:
@@ -220,7 +237,7 @@ def neighborhood(G: Graph, S: int) -> int:
     return nb & ~S
 
 
-def odd_girth(G: Graph) -> float:
+def odd_girth(G: Graph, limit: float = INFINITE_GIRTH) -> float:
     """Length of the shortest odd cycle, or INFINITE_GIRTH if none exists.
 
     One breadth-first search from every source at once, one bit per source
@@ -232,14 +249,18 @@ def odd_girth(G: Graph) -> float:
     the shortest odd cycle, so the first depth with such an edge answers.
     Each depth is one pass over the edges.  Memory is three lists of n n-bit
     ints (layer, reach and the next layer), about 37 MB at MAX_VERTICES.
+
+    It stops before the first depth d with 2d + 1 > limit and returns that
+    2d + 1, a lower bound; any value up to the limit is exact.
     """
     n = G.n
+    edges = G.edges
     layer = list(G.adj)
     reach = [a | 1 << u for u, a in enumerate(layer)]
     depth = 1
-    while True:
+    while 2 * depth + 1 <= limit:
         nxt = [0] * n
-        for u, w in G.edges:
+        for u, w in edges:
             lu, lw = layer[u], layer[w]
             if lu & lw:
                 return 2 * depth + 1
@@ -251,6 +272,7 @@ def odd_girth(G: Graph) -> float:
         if not any(layer):
             return INFINITE_GIRTH
         depth += 1
+    return 2 * depth + 1
 
 
 def find_clique(G: Graph, r: int) -> Optional[tuple[int, ...]]:
@@ -411,9 +433,8 @@ def parse_edge_list(text: str) -> Graph:
     When every token is 1 to _DIGITS ASCII digits the integers come straight
     from the code points (_scan) and no str is made per token; any other
     text is split into str tokens and converted by int(), with the same
-    values and messages.  Duplicates go through one sort of u * n + v
-    (u < v), the Graph keeps the result as its `ends` array, and each
-    adjacency int is read from a packed little-endian bit row.
+    values and messages.  The pairs are checked and deduplicated by
+    _canonical_ends, as build_graph's are.
     """
     text, per_line, values = _scan(text)
     rows = per_line.nonzero()[0]  # the nonempty lines
@@ -435,39 +456,12 @@ def parse_edge_list(text: str) -> Graph:
     if len(rows) - 1 != m:
         raise ValueError(f"header announces {m} edges but {len(rows) - 1} lines follow")
     misshapen = (counts[1:] != 2).nonzero()[0]
-    body = tokens[2 : 2 + 2 * (misshapen[0] if len(misshapen) else m)]
-    try:
-        # int() on each str token in order, so the first bad literal raises
-        ends = np.asarray(body, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:  # such an endpoint is outside 0..n-1 anyway
-        ends = np.array([x if 0 <= x < n else -1 for x in map(int, body)]).reshape(-1, 2)
     if len(misshapen):
+        list(map(int, tokens[2 : 2 + 2 * misshapen[0]]))  # a bad literal above raises first
         raise ValueError(f"edge line must be 'u v', got {row(1 + misshapen[0])!r}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
-    wrong = ((lo < 0) | (hi >= n) | (lo == hi)).nonzero()[0]
-    if len(wrong):
-        i = wrong[0]
-        e = (int(body[2 * i]), int(body[2 * i + 1]))
-        if lo[i] < 0 or hi[i] >= n:
-            raise ValueError(f"edge {e} has an endpoint outside 0..{n - 1}")
-        raise ValueError(f"edge {e} is a self-loop")
-    del tokens, body  # str tokens outweigh the graph built from them
-    keys = np.sort(lo * n + hi)
-    first = np.ones(len(keys), dtype=bool)  # the first copy of each edge
-    first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
-    both = np.empty((2, len(keys)), dtype=np.int64)  # lo over hi; both.T is G.ends
-    lo, hi = np.divmod(keys, max(n, 1), out=(both[0], both[1]))
-    width = n // 8 + 1
-    src, dst = np.concatenate((lo, hi)), np.concatenate((hi, lo))
-    packed = np.zeros(n * width, dtype=np.uint8)
-    # each (src, dst) is distinct, so adding the bits of one byte ORs them
-    np.add.at(packed, src * width + dst // 8, (1 << dst % 8).astype(np.uint8))
-    buf = packed.tobytes()
-    adj = tuple(int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width))
-    return Graph(n, None, adj, ends=both.T)
+    ends = _canonical_ends(n, tokens[2:])
+    del tokens  # str tokens outweigh the graph built from them
+    return _graph(n, ends)
 
 
 def format_edge_list(G: Graph) -> str:

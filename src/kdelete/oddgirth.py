@@ -190,10 +190,10 @@ def partition_odd_girth(
     Completing greedily over the k seeds costs at most D(S_{k+1}) / k more,
     and independent seeds contribute nothing themselves.
 
-    With verify=True the odd girth is computed first and OddGirthTooSmall
-    raised if it is <= 2r + 1; without it the report is still honest (the
-    deletion count is real), but the closed-form ceiling is only guaranteed
-    under the girth hypothesis.
+    With verify=True the odd girth is searched up to 2r + 1 first and
+    OddGirthTooSmall raised if it is <= 2r + 1; without it the report is
+    still honest (the deletion count is real), but the closed-form ceiling
+    is only guaranteed under the girth hypothesis.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -201,7 +201,7 @@ def partition_odd_girth(
         raise ValueError("r must be positive")
     n = G.n
     if verify:
-        og = odd_girth(G)
+        og = odd_girth(G, 2 * r + 1)  # exact whenever it fails the check
         if og <= 2 * r + 1:
             raise OddGirthTooSmall(
                 f"odd girth {og} is not above {2 * r + 1}", witness=og

@@ -34,7 +34,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, CapabilityError
-from .graphs import Graph, build_graph, edges_inside, iter_bits
+from .graphs import Graph, _graph, edges_inside, iter_bits
 from .partition import VertexPartition, greedy_complete, trivial_distinct
 
 DEFAULT_BUDGET = 10**7
@@ -369,10 +369,6 @@ def is_k_colorable(G: Graph, k: int) -> bool:
     return dfs(0, 0)
 
 
-def _graph_from_code(n: int, code: int, pairs: list[tuple[int, int]]) -> Graph:
-    return build_graph(n, [pairs[i] for i in range(len(pairs)) if code >> i & 1])
-
-
 def canonical_code(G: Graph) -> int:
     """Smallest edge-bitmask over all vertex relabelings (n <= 7)."""
     n = G.n
@@ -403,9 +399,12 @@ def enumerate_graphs(n: int, up_to_iso: bool = False) -> Iterator[Graph]:
     if up_to_iso and n > _ISO_LIMIT:
         raise CapabilityError(f"isomorphism filtering needs n <= {_ISO_LIMIT}")
     pairs = list(combinations(range(n), 2))
+    # every pair u < v in order, so the rows at a code's set bits are canonical
+    every = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    bits = 1 << np.arange(len(pairs))
     if not up_to_iso:
         for code in range(1 << len(pairs)):
-            yield _graph_from_code(n, code, pairs)
+            yield _graph(n, every[code & bits != 0])
         return
     index = {p: i for i, p in enumerate(pairs)}
     # perm_maps[p][i] = image of pair-bit i under vertex permutation p
@@ -428,7 +427,7 @@ def enumerate_graphs(n: int, up_to_iso: bool = False) -> Iterator[Graph]:
                 canon = mapped
                 break  # a smaller image exists, so code is not canonical
         if canon == code:
-            yield _graph_from_code(n, code, pairs)
+            yield _graph(n, every[code & bits != 0])
 
 
 def _popcount_u32(a: np.ndarray) -> np.ndarray:

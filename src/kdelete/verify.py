@@ -187,7 +187,7 @@ def _check_scrubber(graphs, r) -> str:
         rep = scrub_short_odd_cycles(G, r)
         _need(rep.holds(G.n), f"{name}: scrub removed more than 100 r^4 n^(3/2)")
         _need(
-            odd_girth(rep.graph) > 2 * r + 1,
+            odd_girth(rep.graph, 2 * r + 1) > 2 * r + 1,
             f"{name}: scrubbed graph still has a short odd cycle",
         )
         full = partition_odd_cycle_free(G, 4, r, verify=True).require()

@@ -1,13 +1,14 @@
 import contextlib
 import io
 import math
+import random
 import signal
 import sys
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdelete import constructions as cons
@@ -61,6 +62,9 @@ def test_build_graph_rejects_loops_and_range():
         build_graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         build_graph(3, [(0, 3)])
+    for pairs in ([(0, 1, 2)], [(0,), (1,)], [(0, 1), (2,)]):
+        with pytest.raises(ValueError, match="^each edge must be a pair"):
+            build_graph(3, pairs)
 
 
 @given(graphs)
@@ -70,7 +74,6 @@ def test_edge_list_roundtrip(G):
 
 @given(graphs)
 def test_parsed_and_built_graphs_are_the_same_graph(G):
-    # parse_edge_list keeps the edges as an array, build_graph as tuples
     H = parse_edge_list(format_edge_list(G))
     assert H == G and hash(H) == hash(G)
     assert H.m == G.m and H.adj == G.adj
@@ -79,17 +82,49 @@ def test_parsed_and_built_graphs_are_the_same_graph(G):
 
 
 @pytest.mark.parametrize("n", [0, 1, 4])
-def test_graph_without_edges_has_both_forms(n):
+def test_graph_without_edges_has_empty_ends(n):
     for G in (build_graph(n, []), parse_edge_list(f"{n} 0\n")):
-        assert G.m == 0 and G.edges == ()
+        assert G.m == 0 and G.edges == () and G.adj == (0,) * n
         assert G.ends.shape == (0, 2) and G.ends.dtype == np.int64
+        assert G.ends.flags.c_contiguous and not G.ends.flags.writeable
 
 
-def test_graph_takes_exactly_one_edge_form():
-    with pytest.raises(ValueError):
-        Graph(2, ((0, 1),), (2, 1), ends=np.array([[0, 1]]))
-    with pytest.raises(ValueError):
-        Graph(2, None, (2, 1))
+def _assert_canonical(G):
+    """G.ends is a read-only, C-contiguous (m, 2) int64 array of pairs u < v
+    strictly increasing in u * n + v, and G.adj has exactly those edges."""
+    e = G.ends
+    assert e.dtype == np.int64 and e.shape == (G.m, 2)
+    assert e.flags.c_contiguous and not e.flags.writeable
+    assert ((0 <= e[:, 0]) & (e[:, 0] < e[:, 1]) & (e[:, 1] < G.n)).all()
+    keys = e[:, 0] * G.n + e[:, 1]
+    assert (keys[1:] > keys[:-1]).all()
+    adj = [0] * G.n
+    for u, v in e.tolist():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    assert G.adj == tuple(adj)
+
+
+_GENERATOR_ARGS = {
+    "cycle": [(3,), (70,)],
+    "complete": [(0,), (1,), (12,)],
+    "multipartite": [([3, 0, 5, 9],), ([1],)],
+    "petersen": [()],
+    "random": [(66, 0.3, 5), (9, 0.0), (17, 1.0)],
+}
+
+
+def test_every_generator_makes_canonical_ends():
+    assert set(_GENERATOR_ARGS) == set(cons.GENERATORS)
+    for name, calls in _GENERATOR_ARGS.items():
+        for args in calls:
+            _assert_canonical(cons.GENERATORS[name](*args))
+
+
+def test_enumerated_graphs_have_canonical_ends():
+    for n in (1, 4):
+        for G in enumerate_graphs(n):
+            _assert_canonical(G)
 
 
 def test_parse_edge_list_header_and_comments():
@@ -259,6 +294,46 @@ def test_delete_edges():
     assert not (H.adj[0] >> 1 & 1)
 
 
+@pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65])
+@settings(max_examples=12)
+@given(p=st.sampled_from([0.0, 0.05, 0.3, 0.8]), seed=st.integers(0, 2**32 - 1))
+def test_induced_and_delete_edges_match_set_references(n, p, seed):
+    # Rows of one, two and nine bytes; the pieces include the empty mask and
+    # an edgeless piece of several vertices.
+    rng = random.Random(seed)
+    edges = {e for e in combinations(range(n), 2) if rng.random() < p}
+    given_pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(given_pairs)
+    G = build_graph(n, given_pairs)
+    independent = 0
+    for v in range(n):
+        if rng.random() < 0.5 and not G.adj[v] & independent:
+            independent |= 1 << v
+    masks = [0, independent, rng.getrandbits(n), rng.getrandbits(n) | rng.getrandbits(n),
+             G.full_mask ^ 1 << rng.randrange(n)]
+    for vmask in masks:
+        H, verts = G.induced(vmask)
+        local = {g: i for i, g in enumerate(v for v in range(n) if vmask >> v & 1)}
+        assert verts == tuple(local)
+        assert H.n == len(local)
+        assert H.edges == tuple(sorted(
+            (local[u], local[v]) for u, v in edges if u in local and v in local
+        ))
+        _assert_canonical(H)
+    assert G.induced(independent)[0].m == 0
+
+    drop = given_pairs[: rng.randint(0, len(given_pairs))]
+    H = G.delete_edges(drop)
+    assert H.edges == tuple(sorted(edges - {(min(e), max(e)) for e in drop}))
+    _assert_canonical(H)
+    absent = [e for e in combinations(range(n), 2) if e not in edges]
+    if absent:
+        u, v = rng.choice(absent)
+        at = rng.randint(0, len(drop))
+        with pytest.raises(ValueError, match=rf"^edge \({v}, {u}\) not present$"):
+            G.delete_edges(drop[:at] + [(v, u)] + drop[at:])
+
+
 def _ref_first_cycle(nbrs, length):
     """Lexicographically least vertex sequence closing a cycle of the given
     length with its least vertex first and its second vertex below its last,
@@ -325,7 +400,53 @@ def _reference_build_graph(n, edge_list):
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, edges, tuple(adj))
+    return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), tuple(adj))
+
+
+# Endpoints beyond int64 on either side, and one beyond uint64.
+_BEYOND_INT64 = (2**63, -(2**63) - 1, 2**64 + 5)
+
+
+@st.composite
+def _pair_lists(draw):
+    """n and a pair list with duplicates, reversed copies and self-loops,
+    and in half the draws endpoints at -1, at n and beyond int64."""
+    n = draw(st.integers(-1, 9))
+    end = st.integers(0, max(n - 1, 0))
+    if draw(st.booleans()):
+        end = st.one_of(end, st.sampled_from((-1, n) + _BEYOND_INT64))
+    pairs = draw(st.lists(st.tuples(end, end), max_size=10))
+    copies = draw(st.lists(st.tuples(st.integers(0, 9), st.booleans()), max_size=6))
+    if pairs:
+        pairs += [pairs[i % len(pairs)][:: -1 if flip else 1] for i, flip in copies]
+    return n, draw(st.permutations(pairs))
+
+
+def _build_outcome(build, n, pairs):
+    try:
+        G = build(n, pairs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return G.n, G.edges, G.adj
+
+
+@settings(max_examples=100)
+@given(_pair_lists())
+@example((0, []))
+@example((0, [(0, 0)]))
+@example((-1, [(2**64 + 5, 0)]))
+@example((3, [(2, 0), (0, 2), (1, 2), (2, 1), (0, 2)]))
+@example((3, [(2**63, 1), (1, 1)]))
+@example((3, [(1, 1), (-(2**63) - 1, 3)]))
+def test_build_graph_matches_reference(case):
+    n, pairs = case
+    want = _build_outcome(_reference_build_graph, n, pairs)
+    assert _build_outcome(build_graph, n, pairs) == want
+    if not isinstance(want[0], type):  # the same pairs as an edge list
+        text = "\n".join([f"{n} {len(pairs)}"] + [f"{u} {v}" for u, v in pairs])
+        G = parse_edge_list(text)
+        assert (G.n, G.edges, G.adj) == want
+        _assert_canonical(G)
 
 
 def _reference_parse(text):

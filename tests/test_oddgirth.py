@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdelete import constructions as cons
+from kdelete import oddgirth, verify
 from kdelete.bounds import decay_step_holds
 from kdelete.constructions import random_graph
 from kdelete.corpus import book, c5_free_scrub_suite, windmill
@@ -117,8 +118,32 @@ def test_partition_odd_girth_trivial_when_k_large(c5):
 
 
 def test_partition_odd_girth_rejects_short_cycles():
-    with pytest.raises(OddGirthTooSmall):
+    with pytest.raises(OddGirthTooSmall, match=r"^odd girth 5 is not above 7$") as info:
         partition_odd_girth(cons.cycle(5), 2, 3, verify=True)  # needs girth > 7
+    assert info.value.witness == 5
+
+
+@pytest.mark.parametrize("limit", [1, 3, 5, 7, 9])
+def test_bounded_odd_girth_is_exact_up_to_its_limit(limit):
+    for G in [*(cons.cycle(n) for n in range(3, 14)), cons.blow_up(cons.cycle(7), 3),
+              cons.complete(4), cons.hypercube(3), cons.petersen(), *(windmill(t) for t in (1, 4))]:
+        full, got = odd_girth(G), odd_girth(G, limit)
+        assert got == full if full <= limit else limit < got <= full, (G, limit)
+    assert odd_girth(cons.cycle(4001), 5) == 7  # two depths, not 2000
+
+
+def test_girth_checks_search_only_up_to_2r_plus_1(monkeypatch):
+    limits = []
+
+    def spy(G, limit=float("inf")):
+        limits.append(limit)
+        return odd_girth(G, limit)
+
+    monkeypatch.setattr(oddgirth, "odd_girth", spy)
+    monkeypatch.setattr(verify, "odd_girth", spy)
+    partition_odd_girth(cons.cycle(11), 2, 2, verify=True)
+    verify._check_scrubber(c5_free_scrub_suite()[:1], 3)
+    assert limits == [5, 7]
 
 
 @given(any_graph, st.integers(1, 3))
