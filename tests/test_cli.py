@@ -343,6 +343,20 @@ def test_precondition_exit_code(capsys, monkeypatch):
     assert "refused" in err
 
 
+def test_oddgirth_partition_of_a_long_cycle(capsys, monkeypatch):
+    # 1,634 peels, each scoring all 4,001 centers in one pass.
+    code, out, err = run_cli(
+        ["partition", "--method", "oddgirth", "--k", "4", "--r", "2",
+         "--verify-preconditions"],
+        stdin_text=format_edge_list(cycle(4001)), capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0, err
+    report = json.loads(out)["outputs"]
+    assert report["deleted"] == 0 and report["guarantee_holds"]
+    assert report["meta"]["peel_rounds"] == 1634
+
+
 def test_capability_exit_code(capsys, monkeypatch):
     code, _, _ = run_cli(
         ["partition", "--method", "clique", "--k", "2", "--r", "11"],

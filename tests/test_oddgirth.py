@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from kdelete import constructions as cons
 from kdelete import oddgirth, verify
 from kdelete.bounds import decay_step_holds
 from kdelete.constructions import random_graph
-from kdelete.corpus import book, c5_free_scrub_suite, windmill
+from kdelete.corpus import book, c5_free_scrub_suite, kneser, windmill
 from kdelete.errors import (
     CapabilityError,
     EmptyWorkingSet,
@@ -29,6 +30,7 @@ from kdelete.graphs import (
 )
 from kdelete.oddgirth import (
     ScrubReport,
+    _center_masses,
     extract_independent_set,
     find_poor_expansion_set,
     partition_odd_cycle_free,
@@ -67,6 +69,76 @@ def test_expansion_witness_on_sub_working_sets(G, r, bits):
     w = find_poor_expansion_set(G, smask, r)
     assert w.holds(G.n)
     assert w.bmask & ~smask == 0
+
+
+def _reference_masses(G, smask):
+    return [degree_sum(G, G.adj[v] & smask) for v in range(G.n)]
+
+
+@given(
+    st.builds(
+        random_graph,
+        n=st.integers(1, 40),
+        p=st.sampled_from([0.05, 0.2, 0.5, 0.9]),
+        seed=st.integers(0, 2**32),
+    ),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_center_is_the_first_heaviest_vertex_of_all_of_v(G, r, data):
+    """The center is the lowest-index maximiser of D(N(v) cap S) over every
+    v in V, inside S or not, as a strict `>` scan from v = 0 picks it."""
+    smask = data.draw(st.integers(0, G.full_mask), label="smask")
+    masses = _reference_masses(G, smask)
+    assert _center_masses(G, smask).tolist() == masses
+    if degree_sum(G, smask) == 0:
+        with pytest.raises(EmptyWorkingSet):
+            find_poor_expansion_set(G, smask, r)
+        return
+    assert find_poor_expansion_set(G, smask, r).center == masses.index(max(masses))
+
+
+def test_center_ties_go_to_the_lowest_index():
+    C9 = cons.cycle(9)
+    assert find_poor_expansion_set(C9, C9.full_mask, 2).center == 0  # every mass is 4
+    # A star on 0 with two pendant paths: vertex 0 alone has the top degree 4.
+    G = build_graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6)])
+    without_0 = G.full_mask & ~1
+    assert _reference_masses(G, without_0) == [6, 1, 1, 0, 0, 2, 2]
+    assert find_poor_expansion_set(G, without_0, 2).center == 0  # outside S
+    # S = {5, 6}: vertices 1 and 2 tie at mass 1, everything else is 0.
+    assert _reference_masses(G, 0b1100000) == [0, 1, 1, 0, 0, 0, 0]
+    assert find_poor_expansion_set(G, 0b1100000, 2).center == 1
+    with pytest.raises(ValueError, match="vertex mask out of range"):
+        find_poor_expansion_set(G, 1 << 7, 2)
+
+
+@pytest.mark.parametrize("make", [lambda: random_graph(300, 0.9), lambda: kneser(11, 5)],
+                         ids=["random-300-0.9", "odd-graph-5"])
+def test_center_masses_are_exact_int64(make):
+    G = make()
+    for smask in (G.full_mask, G.full_mask // 3, 1):
+        masses = _center_masses(G, smask)
+        assert masses.dtype == np.int64
+        assert masses.tolist() == _reference_masses(G, smask)
+
+
+def test_peeling_a_long_cycle_scores_centers_in_one_pass(monkeypatch):
+    """C_2001 takes 817 peels.  A degree_sum call per candidate center would
+    make 1.64 million calls and take seconds; one pass per peel makes a few."""
+    calls = 0
+
+    def counting(G, S):
+        nonlocal calls
+        calls += 1
+        return degree_sum(G, S)
+
+    monkeypatch.setattr(oddgirth, "degree_sum", counting)
+    rep = partition_odd_girth(cons.cycle(2001), 4, 2, verify=True)
+    assert rep.deleted == 0
+    assert rep.meta["peel_rounds"] == 817
+    assert rep.guarantee_holds
+    assert calls < 20 * 817
 
 
 @given(any_graph, st.integers(1, 3))
