@@ -225,7 +225,7 @@ def _cmd_oracle(args, argv) -> int:
         mix = mixing_check(G, profile, seed=args.seed)
         _emit(argv, digest, args.seed, {
             "certificate": cert.to_json(),
-            "mixing": mix.to_json(),
+            "mixing": mix,
         })
         return 0
     print(value)

@@ -49,7 +49,7 @@ import numpy as np
 from ._rng import SplitMix64, derive_seed
 from .bounds import E_LOWER
 from .errors import CapabilityError, InvariantViolation
-from .graphs import MAX_VERTICES, Graph, bits_list, edges_inside, mask_of
+from .graphs import MAX_VERTICES, Graph, _popcount, bits_list, edges_inside, mask_of
 
 _EXACT_U_LIMIT = 10**7
 # Entries per block of the block loops (edges x adjacency words or bits,
@@ -175,16 +175,6 @@ def _edge_arrays(G: Graph, k: int) -> _EdgeArrays:
         degree, ex, ey, degree[ex] + degree[ey] - common, shared, src, dst, edge_of,
         start, packed if shared.any() else None,
     )
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word: bit pairs, nibbles and bytes are summed
-    in place, and one multiply adds the bytes into the top byte."""
-    c = np.uint64
-    words = words - ((words >> c(1)) & c(0x5555555555555555))
-    words = (words & c(0x3333333333333333)) + ((words >> c(2)) & c(0x3333333333333333))
-    words = (words + (words >> c(4))) & c(0x0F0F0F0F0F0F0F0F)
-    return (words * c(0x0101010101010101)) >> c(56)
 
 
 def _inside_sums(

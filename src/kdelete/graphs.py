@@ -209,6 +209,16 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     return _graph(n, _canonical_ends(n, list(chain.from_iterable(pairs))))
 
 
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word: bit pairs, nibbles and bytes are summed
+    in place, and one multiply adds the bytes into the top byte."""
+    c = np.uint64
+    words = words - ((words >> c(1)) & c(0x5555555555555555))
+    words = (words & c(0x3333333333333333)) + ((words >> c(2)) & c(0x3333333333333333))
+    words = (words + (words >> c(4))) & c(0x0F0F0F0F0F0F0F0F)
+    return (words * c(0x0101010101010101)) >> c(56)
+
+
 def degree_sum(G: Graph, S: int) -> int:
     """Sum of degrees over the masked vertices (internal edges count twice),
     as the sum over degree classes of d * |S & C_d|."""
