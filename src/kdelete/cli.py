@@ -56,10 +56,14 @@ CUT_METHODS = ("exact", "local", "driver")
 
 
 def _read_graph(args) -> tuple[Graph, str]:
-    """Parse the edge list from --input (or stdin) and hash the raw bytes."""
+    """Parse the edge list from --input (or stdin) and hash the raw bytes.
+    An --input that cannot be read is a usage error."""
     if args.input is not None:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read --input {args.input!r}: {exc.strerror}")
     else:
         text = sys.stdin.read()
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._rng import SplitMix64, derive_seed
 from .errors import CapabilityError, InvariantViolation, PreconditionError
-from .graphs import Graph, _popcount, build_graph
+from .graphs import Graph, bit_rows, build_graph, row_bits
 from .serialize import fraction_str
 
 
@@ -144,14 +144,6 @@ class SpectralProfile:
     lam: float
     residual: float
 
-    def to_json(self):
-        return {
-            "n": self.n,
-            "d": self.d,
-            "lambda": self.lam,
-            "residual": self.residual,
-        }
-
 
 def second_eigenvalue(G: Graph) -> SpectralProfile:
     """Profile of the adjacency spectrum from one dense eigh.
@@ -265,29 +257,23 @@ class MixingReport:
 _BLOCK = 1 << 18  # bytes of A rows per block, and adjacency words per gather
 
 
-def _rows(masks: list[int], nbytes: int) -> np.ndarray:
-    """One row of nbytes little-endian bytes per vertex mask."""
-    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, nbytes)
-
-
 def _pair_edges(G: Graph, pairs: list[tuple[int, int]]) -> np.ndarray:
     """e(A, B) of every mask pair as float64: popcount(N(u) & B) summed over
-    the members u of A, on uint64 bit rows, with at most _BLOCK bytes of A
-    rows unpacked and _BLOCK adjacency words gathered at a time."""
-    n, words = G.n, (G.n + 63) // 64
-    adj = _rows(G.adj, 8 * words).view("<u8")
+    the members u of A, on bit rows (graphs.bit_rows), with at most _BLOCK
+    bytes of A rows unpacked and _BLOCK adjacency words gathered at a time."""
+    n = G.n
+    adj = bit_rows(G.adj, n)
     e = np.zeros(len(pairs))
-    rows, chunk = max(1, _BLOCK // n), max(1, _BLOCK // words)
+    rows, chunk = max(1, _BLOCK // n), max(1, _BLOCK // adj.shape[1])
     for lo in range(0, len(pairs), rows):
         block = pairs[lo : lo + rows]
-        inside = _rows([am for am, _ in block], 8 * words)
-        inside = np.unpackbits(inside, axis=1, count=n, bitorder="little").view(bool)
+        inside = row_bits(bit_rows([am for am, _ in block], n), n)
         owner, member = np.divmod(np.flatnonzero(inside), n)
-        B = _rows([bm for _, bm in block], 8 * words).view("<u8")
+        B = bit_rows([bm for _, bm in block], n)
         for i in range(0, len(owner), chunk):
             o = owner[i : i + chunk]
-            hits = _popcount(adj[member[i : i + chunk]] & B[o]).sum(axis=1)
+            both = adj[member[i : i + chunk]] & B[o]
+            hits = np.bitwise_count(both).sum(axis=1, dtype=np.int64)
             e[lo : lo + len(block)] += np.bincount(o, hits, len(block))
     return e
 

@@ -49,7 +49,9 @@ import numpy as np
 from ._rng import SplitMix64, derive_seed
 from .bounds import E_LOWER
 from .errors import CapabilityError, InvariantViolation
-from .graphs import MAX_VERTICES, Graph, _popcount, bits_list, edges_inside, mask_of
+from .graphs import (
+    MAX_VERTICES, Graph, bit_rows, bits_list, edges_inside, mask_of, row_bits,
+)
 
 _EXACT_U_LIMIT = 10**7
 # Entries per block of the block loops (edges x adjacency words or bits,
@@ -139,13 +141,14 @@ def _edge_arrays(G: Graph, k: int) -> _EdgeArrays:
     shared, the edges whose ends have a common neighbour (the only ones that
     can lie inside some N(v)); the 2m directed edges src -> dst sorted by
     source, with edge_of[i] the edge that directed edge i runs along, so
-    N(v) = dst[start[v]:start[v + 1]]; and the adjacency as little-endian bit
-    rows, padded to whole 64-bit words, when some edge is shared (else None).
+    N(v) = dst[start[v]:start[v + 1]]; and the adjacency as bit rows
+    (graphs.bit_rows) when some edge is shared (else None).
 
-    u_e = d(x) + d(y) - |N(x) & N(y)|: the rows of each edge's ends are ANDed
-    as uint64 words, _BLOCK words at a time, and counted with a SWAR
-    popcount, so the union sizes cost O(m n / 64) word operations in numpy
-    and no Python step per edge.
+    u_e = d(x) + d(y) - |N(x) & N(y)|: the rows of each edge's ends are ANDed,
+    _BLOCK words at a time, and counted with np.bitwise_count, so the union
+    sizes cost O(m n / 64) word operations in numpy and no Python step per
+    edge.  Each count is summed as int64: a word's count is a uint8, and a
+    row's total can pass 255.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -159,16 +162,12 @@ def _edge_arrays(G: Graph, k: int) -> _EdgeArrays:
     dst = np.concatenate((ey, ex))[order]
     edge_of = np.concatenate((np.arange(m), np.arange(m)))[order]
     start = np.concatenate(([0], np.cumsum(degree)))
-    width = (n + 63) // 64
-    packed = np.frombuffer(
-        b"".join(a.to_bytes(8 * width, "little") for a in G.adj), dtype=np.uint8
-    ).reshape(n, 8 * width)
-    words = packed.view(np.uint64)
+    packed = bit_rows(G.adj, n)
     common = np.zeros(m, dtype=np.int64)
-    rows = max(1, _BLOCK // width)
+    rows = max(1, _BLOCK // packed.shape[1])
     for lo in range(0, m, rows):
-        both = words[ex[lo : lo + rows]] & words[ey[lo : lo + rows]]
-        common[lo : lo + rows] = _popcount(both).sum(axis=1)
+        both = packed[ex[lo : lo + rows]] & packed[ey[lo : lo + rows]]
+        common[lo : lo + rows] = np.bitwise_count(both).sum(axis=1, dtype=np.int64)
     # An edge lies inside N(v) only when v is a common neighbour of its ends.
     shared = common > 0
     return _EdgeArrays(
@@ -185,7 +184,7 @@ def _inside_sums(
     (xs[i], ys[i]) with v adjacent to both ends, and is 0 where there are
     none; table holds limbs below 2**32.
 
-    packed holds the adjacency as little-endian bit rows.  Each block of at
+    packed holds the adjacency as bit rows (graphs.bit_rows).  Each block of at
     most _BLOCK adjacency entries is ANDed, unpacked once and summed with one
     float32 matmul against the bytes of its weight rows, so no (edges x n) or
     (edges x L) array is built; only the nonzero rows are put back into limbs.
@@ -201,7 +200,7 @@ def _inside_sums(
     rows = max(1, _BLOCK // n)
     for lo in range(0, len(xs), rows):
         both = packed[xs[lo : lo + rows]] & packed[ys[lo : lo + rows]]
-        bits = np.unpackbits(both, axis=1, count=n, bitorder="little")
+        bits = row_bits(both, n)
         out += bits.T.astype(np.float32) @ weights[index[lo : lo + rows]]
     sums = np.zeros((n, limbs), dtype=np.int64)
     nonzero = out.any(axis=1)

@@ -11,6 +11,12 @@ u < v in increasing order of u * n + v, and every Graph is made from it by
 _graph.  build_graph and parse_edge_list check and dedupe their pairs in
 _canonical_ends; induced and delete_edges take rows straight from `ends`.
 
+The numpy kernels take masks as bit rows, made by bit_rows and read back by
+row_bits: one row of (n + 63) // 64 little-endian uint64 words per mask, bit
+v of the row (bit v % 64 of word v // 64) set <=> vertex v in the set, so an
+AND of rows is an intersection and np.bitwise_count of it a popcount.
+_graph builds every adjacency int from rows of this layout.
+
 The text interchange format is a header line "n m" followed by m lines "u v",
 one edge per line; '#' starts a comment.  parse_edge_list reads it with numpy
 on the text's code points: it counts the tokens per line, decodes tokens of
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -71,6 +77,18 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def bits_list(mask: int) -> list[int]:
     return list(iter_bits(mask))
+
+
+def bit_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """(len(masks), (n + 63) // 64) read-only "<u8" bit rows of masks below 2**n."""
+    words = (n + 63) // 64
+    raw = b"".join(m.to_bytes(8 * words, "little") for m in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), words)
+
+
+def row_bits(rows: np.ndarray, n: int) -> np.ndarray:
+    """The 0/1 uint8 bits of vertices 0..n-1 along the last axis of bit rows."""
+    return np.unpackbits(rows.view(np.uint8), axis=-1, count=n, bitorder="little")
 
 
 class Graph:
@@ -160,14 +178,15 @@ class Graph:
 
 
 def _graph(n: int, ends: np.ndarray) -> Graph:
-    """The Graph on canonical `ends`, each adj int read off a packed bit row."""
-    width = n // 8 + 1
+    """The Graph on canonical `ends`, each adj int read off its bit row."""
+    width = 8 * ((n + 63) // 64)  # bytes per bit row
     src, dst = ends.ravel(), ends[:, ::-1].ravel()
     packed = np.zeros(n * width, dtype=np.uint8)
     # each (src, dst) is distinct, so adding the bits of one byte ORs them
     np.add.at(packed, src * width + (dst >> 3), _BIT[dst & 7])
     buf = packed.tobytes()
-    adj = [int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)]
+    step = width or 1  # buf is empty when n = 0, and range needs a nonzero step
+    adj = [int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), step)]
     return Graph(n, ends, tuple(adj))
 
 
@@ -207,16 +226,6 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     if set(map(len, pairs)) - {2}:
         raise ValueError("each edge must be a pair (u, v)")
     return _graph(n, _canonical_ends(n, list(chain.from_iterable(pairs))))
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word: bit pairs, nibbles and bytes are summed
-    in place, and one multiply adds the bytes into the top byte."""
-    c = np.uint64
-    words = words - ((words >> c(1)) & c(0x5555555555555555))
-    words = (words & c(0x3333333333333333)) + ((words >> c(2)) & c(0x3333333333333333))
-    words = (words + (words >> c(4))) & c(0x0F0F0F0F0F0F0F0F)
-    return (words * c(0x0101010101010101)) >> c(56)
 
 
 def degree_sum(G: Graph, S: int) -> int:

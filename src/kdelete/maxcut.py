@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import numpy as np
@@ -29,6 +29,7 @@ from .graphs import Graph, bits_list, edges_between, edges_inside, mask_of
 from .oddgirth import partition_odd_cycle_free
 from .oracle import min_internal_partition
 from .partition import VertexPartition, lift_blocks
+from .serialize import to_jsonable
 
 _EXACT_CUT_LIMIT = 5 * 10**6
 _GROUPING_ENUM_LIMIT = 10**5
@@ -57,8 +58,6 @@ class CutResult:
         return self
 
     def to_json(self, G=None):
-        from .serialize import to_jsonable
-
         return {
             "crossing": self.crossing,
             "k": self.k,
@@ -325,8 +324,6 @@ def _enumerate_groupings(k: int, sizes: tuple[int, ...]):
     size (one representative size per multiplicity), which visits every
     grouping exactly once.
     """
-    from itertools import combinations
-
     def rec(remaining: tuple[int, ...], needed: tuple[int, ...]):
         if not needed:
             yield []

@@ -32,11 +32,13 @@ from .errors import (
 from .graphs import (
     Graph,
     _find_cycle,
+    bit_rows,
     degree_sum,
     find_cycle_of_length,
     iter_bits,
     neighborhood,
     odd_girth,
+    row_bits,
 )
 from .partition import BoundReport, greedy_complete, trivial_distinct
 
@@ -76,8 +78,7 @@ def _center_masses(G: Graph, smask: int) -> np.ndarray:
     mass[v] <= 2m < n^2 <= 10^8 at MAX_VERTICES, far inside int64.
     """
     n = G.n
-    inside = np.frombuffer(smask.to_bytes(n // 8 + 1, "little"), dtype=np.uint8)
-    inside = np.unpackbits(inside, count=n, bitorder="little")
+    inside = row_bits(bit_rows([smask], n), n)[0]
     weight = np.bincount(G.ends.ravel(), minlength=n) * inside
     mass = np.zeros(n, dtype=np.int64)
     u, v = G.ends.T

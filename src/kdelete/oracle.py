@@ -430,13 +430,6 @@ def enumerate_graphs(n: int, up_to_iso: bool = False) -> Iterator[Graph]:
             yield _graph(n, every[code & bits != 0])
 
 
-def _popcount_u32(a: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(a).astype(np.int64)
-    lut = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int64)
-    return lut[a & 0xFFFF] + lut[a >> 16]
-
-
 def min_uncovered_single(G: Graph) -> int:
     """min over vertices v of (m - e(G[N(v)])): the edges a single
     neighborhood must leave behind."""
@@ -463,7 +456,7 @@ def mantel_worst_uncovered(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         return 0, ()
     index = {p: i for i, p in enumerate(pairs)}
     codes = np.arange(1 << nbits, dtype=np.uint32)
-    m_all = _popcount_u32(codes)
+    m_all = np.bitwise_count(codes).astype(np.int64)
 
     # pairmask[mask] = bitset of pair indices with both endpoints in mask
     pairmask = np.zeros(1 << n, dtype=np.uint32)
@@ -488,7 +481,7 @@ def mantel_worst_uncovered(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
                 if p >> slot & 1:
                     mask |= 1 << others[slot]
             nbr[p] = mask
-        inside = _popcount_u32(codes & pairmask[nbr[pat]])
+        inside = np.bitwise_count(codes & pairmask[nbr[pat]])
         unc = m_all - inside
         best_min = unc if best_min is None else np.minimum(best_min, unc)
 

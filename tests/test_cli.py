@@ -74,6 +74,19 @@ def test_gen_blowup_must_be_positive(blowup, capsys):
     assert err.startswith("usage error: --blowup must be positive")
 
 
+@pytest.mark.parametrize("name", ["missing.el", "."])
+def test_unreadable_input_is_a_usage_error(name, tmp_path, capsys):
+    path = str(tmp_path / name)
+    code, out, err = run_cli(
+        ["partition", "--method", "trianglefree", "--k", "2", "--input", path],
+        capsys=capsys,
+    )
+    assert (code, out) == (2, "")
+    first, *rest = err.splitlines()
+    assert first.startswith(f"usage error: cannot read --input {path!r}: ")
+    assert [line for line in rest if not line.startswith("wall_time_seconds=")] == []
+
+
 def _refuse_to_build(monkeypatch):
     def built(*args, **kwargs):
         raise AssertionError("gen built a graph")

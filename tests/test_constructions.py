@@ -243,6 +243,7 @@ def _paley(q):
 
 MIXING_GRAPHS = regular_suite() + [(f"paley-{q}", _paley(q)) for q in (13, 17, 29, 37, 41)] + [
     ("circulant-150", cons.circulant(150, [1, 7, 31])),  # three 64-bit chunks per sample
+    ("complete-300", cons.complete(300)),  # a member sees up to 299 of B, past a uint8
 ]
 SPLIT_GRAPHS = [g for g in MIXING_GRAPHS if g[0] in ("c5", "paley-17", "circulant-150")]
 

@@ -477,6 +477,11 @@ def test_edge_arrays_match_per_edge_bit_counts_on_random_graphs(n):
             _check_edge_arrays(random_graph(n, p, seed=seed))
 
 
+def test_edge_arrays_count_more_than_255_common_neighbours():
+    # the edge between the two singleton parts has 270 common neighbours
+    _check_edge_arrays(cons.complete_multipartite([1, 1, 270]))
+
+
 def _inside_reference(G: Graph, weights: list[int]) -> list[int]:
     """Per vertex v, the weights of the edges with v adjacent to both ends,
     one bit at a time."""

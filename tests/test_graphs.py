@@ -19,6 +19,7 @@ from kdelete.graphs import (
     INFINITE_GIRTH,
     MAX_VERTICES,
     Graph,
+    bit_rows,
     bits_list,
     build_graph,
     degree_sum,
@@ -32,6 +33,7 @@ from kdelete.graphs import (
     neighborhood,
     odd_girth,
     parse_edge_list,
+    row_bits,
 )
 from kdelete.oracle import enumerate_graphs
 
@@ -48,6 +50,23 @@ graphs = st.integers(2, 9).flatmap(
 def test_mask_roundtrip():
     assert bits_list(mask_of([0, 3, 5])) == [0, 3, 5]
     assert mask_of([]) == 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 129])
+def test_bit_rows_round_trip(n):
+    full = (1 << n) - 1
+    top = 1 << (n - 1) if n else 0
+    for masks in ([], [0, full, top, full // 3]):  # full // 3 sets every other bit
+        rows = bit_rows(masks, n)
+        assert rows.dtype == np.dtype("<u8")
+        assert rows.shape == (len(masks), (n + 63) // 64)
+        for row, mask in zip(rows.tolist(), masks):  # word w holds bits 64w..64w+63
+            assert row == [mask >> 64 * w & (2**64 - 1) for w in range(len(row))]
+        bits = row_bits(rows, n)
+        assert bits.dtype == np.uint8 and bits.shape == (len(masks), n)
+        assert [mask_of(np.flatnonzero(b).tolist()) for b in bits] == masks
+        for i in range(len(masks)):
+            assert row_bits(rows[i], n).tolist() == bits[i].tolist()
 
 
 def test_build_graph_dedups_and_orients():
