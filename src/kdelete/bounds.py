@@ -21,16 +21,15 @@ def iroot(x: int, d: int) -> int:
         raise ValueError("iroot requires x >= 0, d >= 1")
     if x == 0:
         return 0
-    if d == 1:
-        return x
     if d == 2:
         return isqrt(x)
-    r = int(round(x ** (1.0 / d)))
-    while r > 0 and r**d > x:
-        r -= 1
-    while (r + 1) ** d <= x:
-        r += 1
-    return r
+    # Newton's step descends from 2**ceil(bits/d), above the root, in integers.
+    r = 1 << -(-x.bit_length() // d)
+    while True:
+        y = ((d - 1) * r + x // r ** (d - 1)) // d
+        if y >= r:
+            return r
+        r = y
 
 
 def floor_fraction(fr: Fraction) -> int:

@@ -11,10 +11,10 @@ and `verify` prints one JSON line per check.
 
 Exit codes: 0 ok, 2 usage error, 3 capability/budget/precondition error
 (including inputs over graphs.MAX_VERTICES, read or generated, any --k, --l
-or --r over it, and `oracle lambda`/`oracle spectral` on more than 2,000
-vertices), 4 violated guarantee (a failed verify check, or an
-InvariantViolation raised by any subcommand) or any other package error,
-printed as one line `internal error (<class>): ...`.
+or --r over it, `oracle lambda`/`oracle spectral` on more than 2,000
+vertices, and an exact value too long to print), 4 violated guarantee (a
+failed verify check, or an InvariantViolation raised by any subcommand) or
+any other package error, printed as one line `internal error (<class>): ...`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .oddgirth import (
     scrub_short_odd_cycles,
 )
 from .oracle import exact_h
-from .serialize import to_jsonable
+from .serialize import dumps
 from .verify import run_checks
 
 PARTITION_METHODS = ("trianglefree", "clique", "wheel", "oddgirth", "oddcycle")
@@ -74,11 +74,10 @@ def _emit(argv: list[str], digest: str, seed: int, outputs) -> None:
     report = {
         "command": list(argv),
         "input_sha256": digest,
-        "outputs": to_jsonable(outputs),
+        "outputs": outputs,
         "seed": seed,
     }
-    sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    sys.stdout.write("\n")
+    sys.stdout.write(dumps(report) + "\n")
 
 
 def _generate(kind: str, params: dict, blowup: int) -> Graph:
@@ -239,9 +238,7 @@ def _cmd_oracle(args, argv) -> int:
 def _cmd_verify(args, argv) -> int:
     results = run_checks(args.tier, args.seed)
     for res in results:
-        line = json.dumps(to_jsonable(res.to_json()), sort_keys=True,
-                          separators=(",", ":"))
-        sys.stdout.write(line + "\n")
+        sys.stdout.write(dumps(res.to_json()) + "\n")
     failed = [res.name for res in results if not res.ok]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed",
           file=sys.stderr)

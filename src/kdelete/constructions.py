@@ -26,7 +26,6 @@ import numpy as np
 from ._rng import SplitMix64, derive_seed
 from .errors import CapabilityError, InvariantViolation, PreconditionError
 from .graphs import Graph, bit_rows, build_graph, row_bits
-from .serialize import fraction_str
 
 
 def cycle(n: int) -> Graph:
@@ -202,8 +201,8 @@ class LowerBoundCertificate:
             "k": self.k,
             "n": self.n,
             "d": self.d,
-            "lambda_upper": fraction_str(self.lam_upper),
-            "value": fraction_str(self.value),
+            "lambda_upper": self.lam_upper,
+            "value": self.value,
             "residual": self.residual,
         }
 

@@ -330,8 +330,10 @@ def find_cycle_of_length(G: Graph, length: int) -> Optional[tuple[int, ...]]:
     so s is the least vertex of the returned cycle, and its second vertex is
     below its last.  Triangles are found with bit masks; longer cycles by a
     DFS that prunes a partial path when the BFS distance back to s exceeds
-    the remaining step budget.  Returns None when no such cycle exists (in
-    particular when length > n).
+    the remaining step budget; that never cuts a cycle through s in either
+    direction, and second vertices go in increasing order, so the first full
+    path found has the lower second vertex.  Returns None when no such cycle
+    exists (in particular when length > n).
     """
     return _find_cycle(G.adj, length, 0)
 
@@ -389,9 +391,8 @@ def _find_cycle(
 
         def dfs(u: int, used: int, count: int) -> Optional[tuple[int, ...]]:
             if count == length:
-                if adj[u] >> s & 1 and path[1] < path[-1]:
-                    return tuple(path)
-                return None
+                # u was admitted at distance 1, so the path closes at s.
+                return tuple(path)
             budget = length - count
             for w in iter_bits(adj[u] & region & ~used):
                 if dist[w] < 0 or dist[w] > budget:

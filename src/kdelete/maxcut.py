@@ -29,7 +29,6 @@ from .graphs import Graph, bits_list, edges_between, edges_inside, mask_of
 from .oddgirth import partition_odd_cycle_free
 from .oracle import min_internal_partition
 from .partition import VertexPartition, lift_blocks
-from .serialize import to_jsonable
 
 _EXACT_CUT_LIMIT = 5 * 10**6
 _GROUPING_ENUM_LIMIT = 10**5
@@ -57,13 +56,13 @@ class CutResult:
             )
         return self
 
-    def to_json(self, G=None):
+    def to_json(self, G: Graph):
         return {
             "crossing": self.crossing,
             "k": self.k,
             "method": self.method,
             "partition": self.partition.to_json(G),
-            "meta": to_jsonable(self.meta),
+            "meta": self.meta,
         }
 
 

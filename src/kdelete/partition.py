@@ -27,7 +27,6 @@ import numpy as np
 from ._rng import SplitMix64, derive_seed
 from .errors import InvariantViolation
 from .graphs import Graph, bits_list, iter_bits
-from .serialize import fraction_str, to_jsonable
 
 
 @dataclass(frozen=True)
@@ -82,11 +81,9 @@ class VertexPartition:
             raise ValueError("cannot pad down")
         return VertexPartition(self.n, self.blocks + (0,) * (k - self.k))
 
-    def to_json(self, G: Optional[Graph] = None):
-        out = {"k": self.k, "labels": self.assignment()}
-        if G is not None:
-            out["internal_edges"] = self.internal_count(G)
-        return out
+    def to_json(self, G: Graph):
+        return {"k": self.k, "labels": self.assignment(),
+                "internal_edges": self.internal_count(G)}
 
 
 @dataclass(frozen=True)
@@ -121,16 +118,20 @@ class BoundReport:
             )
         return self
 
-    def to_json(self, G: Optional[Graph] = None):
+    def to_json(self, G: Graph):
+        try:
+            decimal = float(self.bound)
+        except OverflowError:  # too large for a float
+            decimal = "inf"
         return {
             "partition": self.partition.to_json(G),
             "deleted": self.deleted,
-            "bound": fraction_str(self.bound),
-            "bound_decimal": float(self.bound),
+            "bound": self.bound,
+            "bound_decimal": decimal,
             "bound_formula": self.bound_formula,
             "guarantee_holds": self.guarantee_holds,
             "precondition_checked": self.precondition_checked,
-            "meta": to_jsonable(self.meta),
+            "meta": self.meta,
         }
 
 

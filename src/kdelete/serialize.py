@@ -1,32 +1,33 @@
-"""JSON-friendly rendering of report objects (exact rationals as "p/q" strings)."""
+"""The one place a report becomes JSON text.
+
+Report dicts have str keys and hold no non-finite float.  `dumps` writes
+them as one line of compact JSON with sorted keys; an exact rational goes
+out as the string "p/q" and a dataclass as the dict of its fields.
+"""
 
 import dataclasses
-import math
+import json
+import sys
 from fractions import Fraction
 
-
-def fraction_str(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
+from .errors import CapabilityError
 
 
-def to_jsonable(obj):
-    """Recursively convert report payloads to JSON-serializable structures."""
+def _encode(obj):
+    """json's hook for the values it cannot write itself."""
     if isinstance(obj, Fraction):
-        return fraction_str(obj)
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf"
-        return obj
-    if isinstance(obj, int) or isinstance(obj, str):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if hasattr(obj, "to_json"):
-        return obj.to_json()
+        try:
+            return f"{obj.numerator}/{obj.denominator}"
+        except ValueError as exc:  # past int's str-conversion digit limit
+            raise CapabilityError(
+                "an exact value in the report has more than "
+                f"{sys.get_int_max_str_digits()} digits, too long to print"
+            ) from exc
     if dataclasses.is_dataclass(obj):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def dumps(obj) -> str:
+    """obj as compact JSON with sorted keys."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode)

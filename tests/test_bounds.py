@@ -34,6 +34,12 @@ def test_iroot_is_exact_floor(x, d):
     assert r**d <= x < (r + 1) ** d
 
 
+@given(st.integers(0, 2**5000), st.integers(1, 400))
+def test_iroot_is_exact_floor_past_float_range(x, d):
+    r = iroot(x, d)
+    assert r**d <= x < (r + 1) ** d
+
+
 @given(st.integers(0, 10**12), st.integers(1, 5))
 def test_iroot_inverts_powers(r, d):
     assert iroot(r**d, d) == r

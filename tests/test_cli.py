@@ -431,6 +431,68 @@ def test_other_package_errors_exit_code(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen"], "gen needs --kind or --spec"),
+    (["gen", "--kind", "multipartite"], "--kind multipartite needs --sizes"),
+    (["gen", "--kind", "cycle"], "--kind cycle needs --n"),
+    (["gen", "--spec", '{"kind":"cycle","params":[5]}'], "--spec params must be a JSON object"),
+    (["gen", "--spec", '{"kind":"cycle","params":{"n":5,"x":1}}'],
+     "bad parameters for kind cycle"),
+    (["partition", "--method", "clique", "--k", "3"], "--method clique needs --r"),
+    (["maxcut", "--method", "driver", "--r", "1", "--l", "3"],
+     "the driver computes 2-cuts"),
+])
+def test_invalid_arguments_are_one_usage_error_line(argv, message, capsys, monkeypatch):
+    code, out, err = run_cli(argv, stdin_text=C5_TEXT, capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("wall_time_seconds=")
+    assert lines[0].startswith(f"usage error: {message}")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["partition", "--method", "oddgirth", "--k", "2", "--r", "110"], 0),
+    (["partition", "--method", "wheel", "--k", "12", "--r", "200"], 0),
+    (["maxcut", "--method", "driver", "--r", "100"], 3),
+    (["partition", "--method", "oddgirth", "--k", "1", "--r", "1100"], 3),
+])
+def test_large_r_on_petersen_exits_cleanly(argv, code, capsys, monkeypatch):
+    got, out, err = run_cli(argv, stdin_text=_petersen_text(), capsys=capsys,
+                            monkeypatch=monkeypatch)
+    assert got == code
+    assert "Traceback" not in err
+    if code == 0:
+        # the ceiling overflows a float but stays exact in "bound"
+        outputs = json.loads(out)["outputs"]
+        assert outputs["bound_decimal"] == "inf"
+        assert Fraction(outputs["bound"]) > 10**308
+    else:
+        assert out == ""
+        assert err.splitlines()[0].startswith("refused: ")
+
+
+def test_verify_failure_exits_4_and_prints_every_check(capsys, monkeypatch):
+    import kdelete.verify as V
+
+    def boom():
+        raise V.CheckFailure("synthetic regression")
+
+    monkeypatch.setattr(V, "build_checks", lambda tier, seed: [
+        ("fine", lambda: "all good"), ("broken", boom), ("also-fine", lambda: "ok"),
+    ])
+    code, out, err = run_cli(["verify", "--tier", "tiny"], capsys=capsys)
+    assert code == 4
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["name"], r["ok"], r["detail"]) for r in rows] == [
+        ("fine", True, "all good"),
+        ("broken", False, "CheckFailure: synthetic regression"),
+        ("also-fine", True, "ok"),
+    ]
+    assert "2/3 checks passed" in err
+    assert "failed: broken" in err.splitlines()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["partition", "--method", "nonsense", "--k", "2"])

@@ -365,6 +365,23 @@ def _ref_first_cycle(nbrs, length):
     return None
 
 
+@st.composite
+def _graphs_up_to_8(draw):
+    n = draw(st.integers(4, 8))
+    pairs = list(combinations(range(n), 2))
+    density = draw(st.sampled_from([0.3, 0.5, 0.7, 0.9]))
+    keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [e for e, x in zip(pairs, keep) if x < density])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs_up_to_8(), st.integers(4, 8))
+def test_find_cycle_matches_reference_up_to_8_vertices(G, length):
+    # The exhaustive sweep below stops at 5 vertices.
+    nbrs = [set(bits_list(a)) for a in G.adj]
+    assert find_cycle_of_length(G, length) == _ref_first_cycle(nbrs, length)
+
+
 def test_bitmask_primitives_match_set_reference():
     # Every labelled graph on up to 5 vertices (1,099 of them), each
     # primitive against plain adjacency sets.

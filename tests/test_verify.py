@@ -1,4 +1,12 @@
-from kdelete.verify import CheckResult, build_checks, run_checks
+import re
+
+import pytest
+
+import kdelete.verify as V
+from kdelete import corpus
+from kdelete.maxcut import CutResult
+from kdelete.partition import VertexPartition
+from kdelete.verify import CheckFailure, CheckResult, build_checks, run_checks
 
 
 def test_tiers_nest():
@@ -9,8 +17,6 @@ def test_tiers_nest():
 
 
 def test_unknown_tier():
-    import pytest
-
     with pytest.raises(ValueError):
         build_checks("galaxy", seed=0)
 
@@ -22,8 +28,6 @@ def test_tiny_tier_all_green_and_fast():
 
 
 def test_failures_are_captured_not_raised(monkeypatch):
-    import kdelete.verify as V
-
     def boom():
         raise AssertionError("synthetic failure")
 
@@ -40,3 +44,46 @@ def test_check_result_json_shape():
     res = CheckResult("x", True, "fine", 0.25)
     out = res.to_json()
     assert set(out) == {"name", "ok", "detail", "seconds"}
+
+
+# The checks below run only at the small and desk tiers; each is run here on
+# a small input, and once more against a broken collaborator it must catch.
+
+def _dl_product():
+    return V._check_dl_coarsen_product(
+        corpus.random_n8_suite()[:3], ((3, 2), (4, 2), (4, 3))
+    )
+
+
+def _split_driver():
+    return V._check_split_driver(corpus.odd_girth7_suite()[:2], 2)
+
+
+def _single_cover_worst():
+    return V._check_single_cover_worst((4, 5))
+
+
+def test_small_tier_checks_pass_on_small_inputs():
+    assert _dl_product() == "9 cut-density products d_l >= d_l(K_k) d_k"
+    assert _split_driver() == "2 split-driver runs at or above m/2"
+    assert _single_cover_worst() == "worst one-center coverage n=4:4, n=5:6"
+
+
+def _one_sided_cut(G, r):
+    return CutResult(VertexPartition(G.n, (G.full_mask, 0)), 0, "one-sided")
+
+
+@pytest.mark.parametrize("check, target, mutant, message", [
+    # d_l(K_k) read as 2, above any cut density
+    (_dl_product, "d_l_complete", lambda l, k: 2, "d_2 < d_2(K_3) d_3"),
+    # the driver returns the empty cut
+    (_split_driver, "maxcut_odd_cycle_free", _one_sided_cut, "split driver below m/2"),
+    # the exhaustive worst case comes out one edge short
+    (_single_cover_worst, "mantel_worst_uncovered",
+     lambda n: (n * n // 4 - 1, None), "not floor(n^2/4)"),
+])
+def test_small_tier_checks_catch_a_broken_collaborator(check, target, mutant, message,
+                                                       monkeypatch):
+    monkeypatch.setattr(V, target, mutant)
+    with pytest.raises(CheckFailure, match=re.escape(message)):
+        check()
