@@ -38,7 +38,7 @@ from .constructions import (
     second_eigenvalue,
     spectral_lower_bound,
 )
-from .cover import exact_u, select_cover
+from .cover import STRATEGIES, exact_u, select_cover
 from .errors import CapabilityError, InvariantViolation, KDeleteError, PreconditionError
 from .graphs import MAX_VERTICES, Graph, format_edge_list, parse_edge_list
 from .maxcut import local_search_cut, max_k_cut_exact, maxcut_odd_cycle_free
@@ -49,7 +49,7 @@ from .oddgirth import (
 )
 from .oracle import exact_h
 from .serialize import dumps
-from .verify import run_checks
+from .verify import TIERS, run_checks
 
 PARTITION_METHODS = ("trianglefree", "clique", "wheel", "oddgirth", "oddcycle")
 CUT_METHODS = ("exact", "local", "driver")
@@ -227,7 +227,7 @@ def _cmd_oracle(args, argv) -> int:
         cert = spectral_lower_bound(G, args.k, profile)
         mix = mixing_check(G, profile, seed=args.seed)
         _emit(argv, digest, args.seed, {
-            "certificate": cert.to_json(),
+            "certificate": cert,
             "mixing": mix,
         })
         return 0
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="forbidden-structure order (clique order, or the r of "
                         "C_{2r+1} / W_{2r+1} / odd girth 2r+1)")
     p.add_argument("--strategy", default="best",
-                   choices=("best", "greedy", "expectation", "random"))
+                   choices=STRATEGIES)
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--verify-preconditions", action="store_true",
                    help="search for the forbidden structure before running")
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "all but ~n^2/(e k) edges")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--strategy", default="best",
-                   choices=("best", "greedy", "expectation", "random"))
+                   choices=STRATEGIES)
     p.add_argument("--trials", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_cover)
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="run the invariant suite at a size tier")
-    p.add_argument("--tier", choices=("tiny", "small", "desk"), default="tiny")
+    p.add_argument("--tier", choices=TIERS, default="tiny")
     common(p, graph_input=False)
     p.set_defaults(func=_cmd_verify)
 

@@ -182,8 +182,8 @@ def _ceil_decimal(x: float) -> Fraction:
 class LowerBoundCertificate:
     """Exact rational lower bound on the k-partition deletion count.
 
-    value <= h(G, k) whenever lam_upper really is an upper bound on
-    max(|mu_2|, |mu_min|).  lam_upper is lambda plus the profile's residual,
+    value <= h(G, k) whenever lambda_upper really is an upper bound on
+    max(|mu_2|, |mu_min|).  lambda_upper is lambda plus the profile's residual,
     rounded up to 12 decimal digits; the residual bounds the distance of
     every true eigenvalue from its computed partner.  What stays unchecked
     is the floating-point rounding in computing the residual itself.
@@ -192,19 +192,9 @@ class LowerBoundCertificate:
     k: int
     n: int
     d: int
-    lam_upper: Fraction
+    lambda_upper: Fraction
     value: Fraction
     residual: float
-
-    def to_json(self):
-        return {
-            "k": self.k,
-            "n": self.n,
-            "d": self.d,
-            "lambda_upper": self.lam_upper,
-            "value": self.value,
-            "residual": self.residual,
-        }
 
 
 def spectral_lower_bound(
@@ -226,14 +216,14 @@ def spectral_lower_bound(
             "spectral certificates need a regular graph", witness=None
         )
     d, n = profile.d, G.n
-    lam_upper = _ceil_decimal(profile.lam + profile.residual)
-    raw = (Fraction(d * n, k) - lam_upper * n) / 2
+    lambda_upper = _ceil_decimal(profile.lam + profile.residual)
+    raw = (Fraction(d * n, k) - lambda_upper * n) / 2
     value = raw if raw > 0 else Fraction(0)
     return LowerBoundCertificate(
         k=k,
         n=n,
         d=d,
-        lam_upper=lam_upper,
+        lambda_upper=lambda_upper,
         value=value,
         residual=profile.residual,
     )

@@ -61,7 +61,7 @@ _BLOCK = 1 << 16
 # Shift of each byte of a 32-bit limb (see _inside_sums).
 _BYTE_SHIFTS = np.array([0, 8, 16, 24])
 
-STRATEGIES = ("greedy", "random", "expectation", "best")
+STRATEGIES = ("best", "greedy", "expectation", "random")
 
 
 @dataclass(frozen=True)

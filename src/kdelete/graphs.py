@@ -17,6 +17,10 @@ v of the row (bit v % 64 of word v // 64) set <=> vertex v in the set, so an
 AND of rows is an intersection and np.bitwise_count of it a popcount.
 _graph builds every adjacency int from rows of this layout.
 
+bfs_layers is the one breadth-first walk: it yields the layers of a search
+from a start mask inside an allowed mask, and the component split, the peel
+and the cycle search's distance prune all read their layers off it.
+
 The text interchange format is a header line "n m" followed by m lines "u v",
 one edge per line; '#' starts a comment.  parse_edge_list reads it with numpy
 on the text's code points: it counts the tokens per line, decodes tokens of
@@ -89,6 +93,20 @@ def bit_rows(masks: Sequence[int], n: int) -> np.ndarray:
 def row_bits(rows: np.ndarray, n: int) -> np.ndarray:
     """The 0/1 uint8 bits of vertices 0..n-1 along the last axis of bit rows."""
     return np.unpackbits(rows.view(np.uint8), axis=-1, count=n, bitorder="little")
+
+
+def bfs_layers(adj: Sequence[int], start: int, allowed: int) -> Iterator[int]:
+    """Breadth-first layers as masks: first `start`, then each time the
+    vertices of `allowed` adjacent to the last layer and in no earlier one.
+    Stops at the first empty layer."""
+    layer = seen = start
+    while layer:
+        yield layer
+        grown = 0
+        for v in iter_bits(layer):
+            grown |= adj[v]
+        layer = grown & allowed & ~seen
+        seen |= layer
 
 
 class Graph:
@@ -372,20 +390,9 @@ def _find_cycle(
         region = full & ~((1 << s) - 1)
         # BFS distances from s within the region
         dist = [-1] * n
-        dist[s] = 0
-        frontier = 1 << s
-        seen = frontier
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= adj[u]
-            nxt &= region & ~seen
-            for u in iter_bits(nxt):
+        for d, layer in enumerate(bfs_layers(adj, 1 << s, region)):
+            for u in iter_bits(layer):
                 dist[u] = d
-            seen |= nxt
-            frontier = nxt
 
         path = [s]
 

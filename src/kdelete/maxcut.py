@@ -200,7 +200,7 @@ def _grouping_count(k: int, sizes: tuple[int, ...]) -> int:
 
 def _pair_weights(G: Graph, fine: VertexPartition) -> list[list[int]]:
     k = fine.k
-    assign = np.array(fine.assignment(), dtype=np.intp)
+    assign = fine.labels()
     a, b = assign[G.ends[:, 0]], assign[G.ends[:, 1]]
     w = np.bincount(a * k + b, minlength=k * k).reshape(k, k)
     w = w + w.T
@@ -227,6 +227,12 @@ def _ce_grouping(w: list[list[int]], sizes: tuple[int, ...]) -> list[list[int]]:
     an integer, so the comparison stays exact and the first minimal group
     wins.  The final grouping is therefore at most the initial expectation,
     i.e. internal <= sum C(s_i,2)/C(k,2) * W.
+
+    Putting u in g takes one slot from g alone, so the scaled expectation
+    is a sum over all groups h, the same for every choice, plus the terms
+    of g: A B wg[u][g] + B ((cap[g]-1) row_u - s[g]) - 2 pairs (cap[g]-1)
+    with A = max(R,1), B = max(R-1,1).  The key is those terms only, so the
+    order of the groups, and the first minimal one, are unchanged.
     """
     k = len(w)
     l = len(sizes)
@@ -243,17 +249,13 @@ def _ce_grouping(w: list[list[int]], sizes: tuple[int, ...]) -> list[list[int]]:
         row_u = sum(w[u][v] for v in left)
         pairs -= row_u
         s = [s[h] - wg[u][h] for h in range(l)]
-
-        def score(g: int) -> int:
-            c = [cap[h] - (h == g) for h in range(l)]
-            return (
-                wg[u][g] * max(R, 1) * max(R - 1, 1)
-                + max(R - 1, 1)
-                * sum(c[h] * (s[h] + (h == g) * row_u) for h in range(l))
-                + pairs * sum(ch * (ch - 1) for ch in c)
-            )
-
-        best = min((g for g in range(l) if cap[g]), key=score)
+        A, B = max(R, 1), max(R - 1, 1)
+        best = min(
+            (g for g in range(l) if cap[g]),
+            key=lambda g: A * B * wg[u][g]
+            + B * ((cap[g] - 1) * row_u - s[g])
+            - 2 * pairs * (cap[g] - 1),
+        )
         groups[best].append(u)
         cap[best] -= 1
         for v in left:
@@ -500,6 +502,7 @@ def maxcut_odd_cycle_free(G: Graph, r: int, seed: int = 0) -> CutResult:
         if G.degree(v) ** (r + 4) >= msq:
             core |= 1 << v
     Hc, _ = G.induced(core)
+    greedy2 = local_search_cut(G, 2, seed=seed)
     if 2 * Hc.m >= m:
         rest = G.full_mask & ~core
         Hr, _ = G.induced(rest)
@@ -508,7 +511,6 @@ def maxcut_odd_cycle_free(G: Graph, r: int, seed: int = 0) -> CutResult:
         stitched = surplus_compose(
             G, [core, rest], [core_cut.partition, rest_cut.partition], 2
         )
-        greedy2 = local_search_cut(G, 2, seed=seed)
         best = stitched if stitched.crossing >= greedy2.crossing else greedy2
         method = f"core/{best.method}"
         meta = {
@@ -521,7 +523,7 @@ def maxcut_odd_cycle_free(G: Graph, r: int, seed: int = 0) -> CutResult:
             "local_search_crossing": greedy2.crossing,
         }
     else:
-        best = local_search_cut(G, 2, seed=seed)
+        best = greedy2
         method = f"sparse/{best.method}"
         meta = {"branch": "sparse", "r": r, "core_size": core.bit_count(),
                 "core_edges": Hc.m}

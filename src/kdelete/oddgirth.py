@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -32,10 +33,10 @@ from .errors import (
 from .graphs import (
     Graph,
     _find_cycle,
+    bfs_layers,
     bit_rows,
     degree_sum,
     find_cycle_of_length,
-    iter_bits,
     neighborhood,
     odd_girth,
     row_bits,
@@ -106,16 +107,8 @@ def find_poor_expansion_set(G: Graph, smask: int, r: int) -> ExpansionWitness:
     n = G.n
     size_s = smask.bit_count()
     best_v = int(_center_masses(G, smask).argmax())
-    allowed = smask | (1 << best_v)
-    layers = [1 << best_v]
-    seen = 1 << best_v
-    for _ in range(r):
-        frontier = 0
-        for v in iter_bits(layers[-1]):
-            frontier |= G.adj[v]
-        frontier &= allowed & ~seen
-        layers.append(frontier)
-        seen |= frontier
+    layers = list(islice(bfs_layers(G.adj, 1 << best_v, smask), r + 1))
+    layers += [0] * (r + 1 - len(layers))
     # x^r = |S| n / D(S); compare D(N_{i+1}) < x * D(N_i) exactly by raising
     # both sides to the r-th power.
     masses = [degree_sum(G, lay) for lay in layers]

@@ -34,7 +34,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, CapabilityError
-from .graphs import Graph, _graph, edges_inside, iter_bits
+from .graphs import Graph, _graph, bfs_layers, edges_inside
 from .partition import VertexPartition, greedy_complete, trivial_distinct
 
 DEFAULT_BUDGET = 10**7
@@ -296,13 +296,7 @@ def exact_h(G: Graph, k: int, budget: Optional[int] = None) -> int:
     total = nodes = 0
     left = G.full_mask
     while left:
-        comp = frontier = left & -left
-        while frontier:
-            grown = 0
-            for v in iter_bits(frontier):
-                grown |= G.adj[v]
-            frontier = grown & ~comp
-            comp |= frontier
+        comp = sum(bfs_layers(G.adj, left & -left, left))  # disjoint layers: sum is OR
         left &= ~comp
         piece = G.induced(comp)[0]
         cost, _, nodes = _branch_and_bound(piece, k, limit, nodes, twin_classes(piece))

@@ -11,9 +11,6 @@ builders shared by all of them:
 * compose_partition -- lift per-piece partitions into seed blocks and finish
                        with greedy_complete
 * balanced_partition -- greedy from empty seeds; internal edges <= m/k
-
-random_partition (one uniform labeling with a greedy floor) is
-used by the tests only; no partitioner builds on it.
 """
 
 from __future__ import annotations
@@ -24,9 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._rng import SplitMix64, derive_seed
 from .errors import InvariantViolation
-from .graphs import Graph, bits_list, iter_bits
+from .graphs import Graph, bit_rows, bits_list, iter_bits, row_bits
 
 
 @dataclass(frozen=True)
@@ -52,18 +48,25 @@ class VertexPartition:
     def sizes(self) -> tuple[int, ...]:
         return tuple(b.bit_count() for b in self.blocks)
 
-    def assignment(self) -> list[int]:
-        out = [-1] * self.n
-        for i, b in enumerate(self.blocks):
-            for v in iter_bits(b):
-                out[v] = i
+    def labels(self) -> np.ndarray:
+        """Each vertex's block index, an int64 array read off the blocks' bit
+        rows.  Only their nonzero words are unpacked, at most n of them, so
+        the scratch past the rows is O(n) however many blocks there are."""
+        rows = bit_rows(self.blocks, self.n)
+        block, word = rows.nonzero()
+        hit, place = row_bits(rows[block, word].reshape(-1, 1), 64).nonzero()
+        out = np.empty(self.n, dtype=np.int64)
+        out[64 * word[hit] + place] = block[hit]
         return out
+
+    def assignment(self) -> list[int]:
+        return self.labels().tolist()
 
     def _inside(self, G: Graph) -> np.ndarray:
         """Per edge of G.ends, whether both ends share a block."""
         if G.n != self.n:
             raise ValueError("graph size does not match partition")
-        lookup = np.array(self.assignment(), dtype=np.intp)
+        lookup = self.labels()
         return lookup[G.ends[:, 0]] == lookup[G.ends[:, 1]]
 
     def internal_edges(self, G: Graph) -> tuple[tuple[int, int], ...]:
@@ -227,23 +230,6 @@ def compose_partition(
         taken |= mask
         seeds.extend(lift_blocks(bits_list(mask), part))
     return greedy_complete(G, seeds, k=k)
-
-
-def random_partition(G: Graph, k: int, seed: int = 0) -> VertexPartition:
-    """One uniform labeling, floored by one greedy completion.
-
-    The greedy candidate guarantees the result never exceeds m/k internal
-    edges, whatever the draw does.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    rng = SplitMix64(derive_seed(seed, 0x21, G.n, G.m, k))
-    blocks = [0] * k
-    for v in range(G.n):
-        blocks[rng.randrange(k)] |= 1 << v
-    drawn = VertexPartition(G.n, tuple(blocks))
-    greedy, greedy_internal = greedy_complete(G, [0] * k)
-    return drawn if drawn.internal_count(G) <= greedy_internal else greedy
 
 
 def balanced_partition(G: Graph, k: int) -> tuple[VertexPartition, int]:

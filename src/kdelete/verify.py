@@ -330,53 +330,50 @@ def _check_single_cover_worst(ns) -> str:
 def build_checks(tier: str, seed: int = 0) -> list[tuple[str, Callable[[], str]]]:
     if tier not in TIERS:
         raise ValueError(f"tier must be one of {TIERS}")
-    tiny = tier in TIERS
     small = tier in ("small", "desk")
     desk = tier == "desk"
 
     n8 = corpus.random_n8_suite(seed)
-    checks: list[tuple[str, Callable[[], str]]] = []
-    if tiny:
-        cover_sample = corpus.cover_suite(seed)[:40]
-        checks += [
-            ("cover-bound", lambda: _check_cover_bound(cover_sample, (1, 2, 4))),
-            ("cover-vs-exact", _check_cover_vs_exact),
-            ("duality-exact", lambda: _check_duality(n8[:10], (2, 3))),
-            ("heuristic-above-h", lambda: _check_heuristics_above_h(n8[:10], (2, 3))),
-            (
-                "triangle-free-small",
-                lambda: _check_partitioner(
-                    corpus.triangle_free_suite(seed)[:6], (2, 3),
-                    partial(partition_triangle_free, verify=True), _TRIANGLE_FREE,
-                ),
+    cover_sample = corpus.cover_suite(seed)[:40]
+    checks: list[tuple[str, Callable[[], str]]] = [
+        ("cover-bound", lambda: _check_cover_bound(cover_sample, (1, 2, 4))),
+        ("cover-vs-exact", _check_cover_vs_exact),
+        ("duality-exact", lambda: _check_duality(n8[:10], (2, 3))),
+        ("heuristic-above-h", lambda: _check_heuristics_above_h(n8[:10], (2, 3))),
+        (
+            "triangle-free-small",
+            lambda: _check_partitioner(
+                corpus.triangle_free_suite(seed)[:6], (2, 3),
+                partial(partition_triangle_free, verify=True), _TRIANGLE_FREE,
             ),
-            (
-                "odd-girth-small",
-                lambda: _check_odd_girth(corpus.odd_girth7_suite(seed)[:4], (2, 4), 2),
+        ),
+        (
+            "odd-girth-small",
+            lambda: _check_odd_girth(corpus.odd_girth7_suite(seed)[:4], (2, 4), 2),
+        ),
+        (
+            "scrubber-small",
+            lambda: _check_scrubber(corpus.c5_free_scrub_suite()[:4], 2),
+        ),
+        (
+            "blowup-identity-small",
+            lambda: _check_blowup_identity(corpus.blowup_suite()[:8], (2,)),
+        ),
+        ("dl-closed-form", lambda: _check_dl_closed_form(6)),
+        (
+            "coarsen-share",
+            lambda: _check_coarsening(n8[:6], ((4, 2), (6, 3))),
+        ),
+        ("spectral", _check_spectral),
+        ("driver-bipartite", _check_driver_bipartite),
+        (
+            "wheel-free-small",
+            lambda: _check_partitioner(
+                [("c5[4]", blow_up(cycle(5), 4))], (6,),
+                partial(partition_wheel_free, r=1), _WHEEL_FREE,
             ),
-            (
-                "scrubber-small",
-                lambda: _check_scrubber(corpus.c5_free_scrub_suite()[:4], 2),
-            ),
-            (
-                "blowup-identity-small",
-                lambda: _check_blowup_identity(corpus.blowup_suite()[:8], (2,)),
-            ),
-            ("dl-closed-form", lambda: _check_dl_closed_form(6)),
-            (
-                "coarsen-share",
-                lambda: _check_coarsening(n8[:6], ((4, 2), (6, 3))),
-            ),
-            ("spectral", _check_spectral),
-            ("driver-bipartite", _check_driver_bipartite),
-            (
-                "wheel-free-small",
-                lambda: _check_partitioner(
-                    [("c5[4]", blow_up(cycle(5), 4))], (6,),
-                    partial(partition_wheel_free, r=1), _WHEEL_FREE,
-                ),
-            ),
-        ]
+        ),
+    ]
     if small:
         checks += [
             (

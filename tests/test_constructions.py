@@ -160,7 +160,7 @@ def test_certificate_nontrivial_on_k5():
 def test_certificate_lambda_absorbs_residual(petersen):
     prof = second_eigenvalue(petersen)
     cert = spectral_lower_bound(petersen, 2, prof)
-    assert cert.lam_upper >= Fraction(2)  # true lambda of the graph
+    assert cert.lambda_upper >= Fraction(2)  # true lambda of the graph
 
 
 def test_mixing_check_exhaustive_small():

@@ -4,7 +4,7 @@ import math
 import random
 import signal
 import sys
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from kdelete.graphs import (
     INFINITE_GIRTH,
     MAX_VERTICES,
     Graph,
+    bfs_layers,
     bit_rows,
     bits_list,
     build_graph,
@@ -365,6 +366,17 @@ def _ref_first_cycle(nbrs, length):
     return None
 
 
+def _ref_bfs_layers(nbrs, start, allowed):
+    """Breadth-first layers from the vertex set `start` through the vertex
+    set `allowed`, as sets, up to the first empty one."""
+    layers, layer, seen = [], set(start), set(start)
+    while layer:
+        layers.append(layer)
+        layer = {w for u in layer for w in nbrs[u] if w in allowed} - seen
+        seen |= layer
+    return layers
+
+
 @st.composite
 def _graphs_up_to_8(draw):
     n = draw(st.integers(4, 8))
@@ -384,7 +396,8 @@ def test_find_cycle_matches_reference_up_to_8_vertices(G, length):
 
 def test_bitmask_primitives_match_set_reference():
     # Every labelled graph on up to 5 vertices (1,099 of them), each
-    # primitive against plain adjacency sets.
+    # primitive against plain adjacency sets; the vertex masks double as
+    # the allowed masks of bfs_layers.
     count = 0
     for n in range(1, 6):
         for G in enumerate_graphs(n):
@@ -416,6 +429,13 @@ def test_bitmask_primitives_match_set_reference():
                     (i, j) for i, j in combinations(range(len(verts)), 2)
                     if verts[j] in nbrs[verts[i]]
                 )
+                # walks from vertex 0, from the least allowed vertex and
+                # from every vertex outside the allowed mask; a walk has at
+                # most n layers, so the slice ends a walk that loops
+                for start in (1, vmask & -vmask, G.full_mask & ~vmask):
+                    layers = list(islice(bfs_layers(G.adj, start, vmask), n + 1))
+                    assert [set(bits_list(x)) for x in layers] == _ref_bfs_layers(
+                        nbrs, bits_list(start), set(verts)), (G.edges, start, vmask)
     assert count == 1099
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -23,7 +24,7 @@ from kdelete.maxcut import (
     surplus_compose,
 )
 from kdelete.oracle import exact_h, min_internal_partition
-from kdelete.partition import VertexPartition, random_partition
+from kdelete.partition import VertexPartition
 
 small_graph = st.builds(
     random_graph,
@@ -31,6 +32,16 @@ small_graph = st.builds(
     p=st.sampled_from([0.3, 0.6]),
     seed=st.integers(0, 2**32),
 )
+
+
+def _random_labelling(G, k, seed):
+    """A seeded uniform k-labelling of G's vertices; any k-partition is a
+    valid coarsen_cut input."""
+    rng = random.Random(seed)
+    blocks = [0] * k
+    for v in range(G.n):
+        blocks[rng.randrange(k)] |= 1 << v
+    return VertexPartition(G.n, tuple(blocks))
 
 
 def test_exact_matches_duality(petersen):
@@ -215,7 +226,7 @@ def test_driver_coarsening_ce_alone_and_strict_exhaustive_win():
 @given(small_graph, st.integers(0, 2**32))
 @settings(max_examples=40)
 def test_coarsen_share_holds(G, seed):
-    fine = random_partition(G, 4, seed=seed)
+    fine = _random_labelling(G, 4, seed)
     fine_crossing = fine.crossing_count(G)
     cut = coarsen_cut(G, fine, 2).validate(G)
     assert Fraction(cut.crossing) >= d_l_complete(2, 4) * fine_crossing
@@ -226,13 +237,13 @@ def test_coarsen_share_holds(G, seed):
 def test_coarsen_exhaustive_is_optimal_over_groupings(G):
     """With enumeration enabled for small k the result can only improve, so
     it must at least match the conditional-expectation baseline."""
-    fine = random_partition(G, 5, seed=1)
+    fine = _random_labelling(G, 5, 1)
     base = coarsen_cut(G, fine, 2)
     assert base.crossing >= d_l_complete(2, 5) * fine.crossing_count(G)
 
 
 def test_coarsen_identity_when_l_geq_k(petersen):
-    fine = random_partition(petersen, 3, seed=0)
+    fine = _random_labelling(petersen, 3, 0)
     cut = coarsen_cut(petersen, fine, 3)
     assert cut.partition.blocks == fine.blocks
     padded = coarsen_cut(petersen, fine, 5)

@@ -13,7 +13,6 @@ from kdelete.partition import (
     compose_partition,
     greedy_complete,
     lift_blocks,
-    random_partition,
     trivial_distinct,
 )
 
@@ -102,13 +101,6 @@ def test_balanced_partition_bound(G, k):
     assert deleted == part.internal_count(G)
     assert deleted * k <= G.m  # hence deleted * 2k <= n^2
     assert deleted * 2 * k <= G.n**2
-
-
-@given(random_instances, st.integers(2, 4), st.integers(0, 2**32))
-def test_random_partition_seeded(G, k, seed):
-    a = random_partition(G, k, seed=seed)
-    b = random_partition(G, k, seed=seed)
-    assert a.blocks == b.blocks
 
 
 def test_lift_blocks_roundtrip():
