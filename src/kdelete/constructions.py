@@ -25,7 +25,7 @@ import numpy as np
 
 from ._rng import SplitMix64, derive_seed
 from .errors import CapabilityError, InvariantViolation, PreconditionError
-from .graphs import Graph, bit_rows, build_graph, row_bits
+from .graphs import Graph, _graph, bit_rows, build_graph, row_bits
 
 
 def cycle(n: int) -> Graph:
@@ -85,15 +85,35 @@ def disjoint_union(graphs: list[Graph]) -> Graph:
     return build_graph(offset, edges)
 
 
+# Draws per block of _coin_hits, which bounds its scratch memory.
+_COIN_BLOCK = 1 << 20
+
+
 def random_graph(n: int, p: float, seed: int = 0) -> Graph:
     """Each pair independently with probability p, in lexicographic order."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     rng = SplitMix64(derive_seed(seed, 0x41, n))
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-    ]
-    return build_graph(n, edges)
+    hits = _coin_hits(rng, n * (n - 1) // 2, p)
+    # pair (u, v) is draw first[u] + v - u - 1, first[u] = u (2n - u - 1) / 2;
+    # the hits are in draw order, so the pairs come out canonical
+    u = np.arange(n)
+    first = u * (2 * n - u - 1) // 2
+    u = first.searchsorted(hits, "right") - 1
+    return _graph(n, np.column_stack((u, hits - first[u] + u + 1)))
+
+
+def _coin_hits(rng: SplitMix64, count: int, p: float) -> np.ndarray:
+    """int64 indices of the draws among the next `count` of rng for which
+    rng.random() < p would hold, taken _COIN_BLOCK outputs at a time from
+    rng._next_u64s: (z >> 11) * 2**-53 is random()'s float64, exactly."""
+    hits = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, count, _COIN_BLOCK):
+        z = rng._next_u64s(min(_COIN_BLOCK, count - lo))
+        hits.append(lo + ((z >> 11) * 2.0**-53 < p).nonzero()[0])
+    return np.concatenate(hits)
 
 
 def blow_up(G: Graph, t: int) -> Graph:

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from ._rng import SplitMix64, derive_seed
 from .constructions import (
+    _coin_hits,
     blow_up,
     circulant,
     complete,
@@ -78,11 +81,11 @@ def kneser(n: int, r: int) -> Graph:
 
 
 def random_bipartite(a: int, b: int, p: float, seed: int = 0) -> Graph:
+    """Each pair (u, a + v), u < a and v < b, independently with probability
+    p, in lexicographic order."""
     rng = SplitMix64(derive_seed(seed, 0x42, a, b))
-    edges = [
-        (u, a + v) for u in range(a) for v in range(b) if rng.random() < p
-    ]
-    return build_graph(a + b, edges)
+    u, v = np.divmod(_coin_hits(rng, a * b, p), b)
+    return build_graph(a + b, zip(u.tolist(), (a + v).tolist()))
 
 
 def cover_suite(seed: int = 0) -> Suite:

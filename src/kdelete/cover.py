@@ -50,14 +50,11 @@ from ._rng import SplitMix64, derive_seed
 from .bounds import E_LOWER
 from .errors import CapabilityError, InvariantViolation
 from .graphs import (
-    MAX_VERTICES, Graph, bit_rows, bits_list, edges_inside, mask_of, row_bits,
+    _BLOCK, MAX_VERTICES, Graph, bit_rows, bits_list, common_neighbours, edges_inside,
+    mask_of, row_bits,
 )
 
 _EXACT_U_LIMIT = 10**7
-# Entries per block of the block loops (edges x adjacency words or bits,
-# directed edges x limbs): bounds their scratch memory at a few hundred
-# kilobytes whatever the graph.
-_BLOCK = 1 << 16
 # Shift of each byte of a 32-bit limb (see _inside_sums).
 _BYTE_SHIFTS = np.array([0, 8, 16, 24])
 
@@ -144,11 +141,9 @@ def _edge_arrays(G: Graph, k: int) -> _EdgeArrays:
     N(v) = dst[start[v]:start[v + 1]]; and the adjacency as bit rows
     (graphs.bit_rows) when some edge is shared (else None).
 
-    u_e = d(x) + d(y) - |N(x) & N(y)|: the rows of each edge's ends are ANDed,
-    _BLOCK words at a time, and counted with np.bitwise_count, so the union
-    sizes cost O(m n / 64) word operations in numpy and no Python step per
-    edge.  Each count is summed as int64: a word's count is a uint8, and a
-    row's total can pass 255.
+    u_e = d(x) + d(y) - |N(x) & N(y)|, the common counts read off the bit
+    rows by graphs.common_neighbours, so the union sizes cost O(m n / 64)
+    word operations in numpy and no Python step per edge.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -163,11 +158,7 @@ def _edge_arrays(G: Graph, k: int) -> _EdgeArrays:
     edge_of = np.concatenate((np.arange(m), np.arange(m)))[order]
     start = np.concatenate(([0], np.cumsum(degree)))
     packed = bit_rows(G.adj, n)
-    common = np.zeros(m, dtype=np.int64)
-    rows = max(1, _BLOCK // packed.shape[1])
-    for lo in range(0, m, rows):
-        both = packed[ex[lo : lo + rows]] & packed[ey[lo : lo + rows]]
-        common[lo : lo + rows] = np.bitwise_count(both).sum(axis=1, dtype=np.int64)
+    common = common_neighbours(packed, G.ends)
     # An edge lies inside N(v) only when v is a common neighbour of its ends.
     shared = common > 0
     return _EdgeArrays(
@@ -187,26 +178,27 @@ def _inside_sums(
     packed holds the adjacency as bit rows (graphs.bit_rows).  Each block of at
     most _BLOCK adjacency entries is ANDed, unpacked once and summed with one
     float32 matmul against the bytes of its weight rows, so no (edges x n) or
-    (edges x L) array is built; only the nonzero rows are put back into limbs.
-    A block has at most 2**16 edges, so its byte sums stay below
-    2**16 * 255 < 2**24, which float32 holds exactly; their float64 totals
-    stay below m * 255 < 2**34, and the limbs put back together from them
-    below 2**58.
+    (edges x L) array is built.  A block has at most 2**16 edges, so its byte
+    sums stay below 2**16 * 255 < 2**24, which float32 holds exactly; each is
+    added into one (n, 4L) int64 accumulator, whose totals stay below
+    m * 255 < 2**34, and whose bytes are shifted in place and put back
+    together into limbs below 2**58, so the only other array of that size is
+    a block's float32 product.
     """
     n, limbs = len(packed), table.shape[1]
     pieces = (table[:, :, None] >> _BYTE_SHIFTS & 0xFF).reshape(len(table), 4 * limbs)
     weights = pieces.astype(np.float32)
-    out = np.zeros((n, 4 * limbs))
+    out = np.zeros((n, 4 * limbs), dtype=np.int64)
     rows = max(1, _BLOCK // n)
     for lo in range(0, len(xs), rows):
         both = packed[xs[lo : lo + rows]] & packed[ys[lo : lo + rows]]
         bits = row_bits(both, n)
-        out += bits.T.astype(np.float32) @ weights[index[lo : lo + rows]]
-    sums = np.zeros((n, limbs), dtype=np.int64)
-    nonzero = out.any(axis=1)
-    parts = out[nonzero].astype(np.int64).reshape(-1, limbs, 4)
-    sums[nonzero] = (parts << _BYTE_SHIFTS).sum(axis=2)
-    return sums
+        # each product is whole and below 2**24, so the cast to int64 is exact
+        np.add(out, bits.T.astype(np.float32) @ weights[index[lo : lo + rows]],
+               out=out, casting="unsafe")
+    parts = out.reshape(n, limbs, 4)
+    parts <<= _BYTE_SHIFTS
+    return parts[:, :, 0] + parts[:, :, 1] + parts[:, :, 2] + parts[:, :, 3]
 
 
 def select_cover_random(

@@ -15,7 +15,9 @@ The numpy kernels take masks as bit rows, made by bit_rows and read back by
 row_bits: one row of (n + 63) // 64 little-endian uint64 words per mask, bit
 v of the row (bit v % 64 of word v // 64) set <=> vertex v in the set, so an
 AND of rows is an intersection and np.bitwise_count of it a popcount.
-_graph builds every adjacency int from rows of this layout.
+_graph builds every adjacency int from rows of this layout, and
+common_neighbours ANDs the rows of each edge's ends to count the neighbours
+they share.
 
 bfs_layers is the one breadth-first walk: it yields the layers of a search
 from a start mask inside an allowed mask, and the component split, the peel
@@ -64,6 +66,11 @@ _DIGITS = 18
 
 _BIT = (1 << np.arange(8)).astype(np.uint8)  # the bit of each place in a byte
 
+# Entries per block of the numpy block loops (edges x adjacency words or
+# bits, directed edges x limbs): bounds their scratch memory at a few hundred
+# kilobytes whatever the graph.
+_BLOCK = 1 << 16
+
 
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
@@ -93,6 +100,22 @@ def bit_rows(masks: Sequence[int], n: int) -> np.ndarray:
 def row_bits(rows: np.ndarray, n: int) -> np.ndarray:
     """The 0/1 uint8 bits of vertices 0..n-1 along the last axis of bit rows."""
     return np.unpackbits(rows.view(np.uint8), axis=-1, count=n, bitorder="little")
+
+
+def common_neighbours(rows: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """int64 |N(x) & N(y)| for each pair (x, y) of ends, rows being the
+    adjacency as bit rows.  The rows of the two ends are ANDed _BLOCK words
+    at a time and counted with np.bitwise_count; a word's count is a uint8,
+    and a product with int64 ones adds each row's counts as int64, since a
+    row's total can pass 255."""
+    words = rows.shape[1]
+    common = np.zeros(len(ends), dtype=np.int64)
+    step = max(1, _BLOCK // max(1, words))
+    for lo in range(0, len(ends), step):
+        pairs = ends[lo : lo + step]
+        both = np.take(rows, pairs[:, 0], axis=0) & np.take(rows, pairs[:, 1], axis=0)
+        common[lo : lo + step] = np.bitwise_count(both) @ np.ones(words, dtype=np.int64)
+    return common
 
 
 def bfs_layers(adj: Sequence[int], start: int, allowed: int) -> Iterator[int]:
@@ -346,75 +369,88 @@ def find_cycle_of_length(G: Graph, length: int) -> Optional[tuple[int, ...]]:
 
     Anchored at each start vertex s in turn; only vertices above s may appear,
     so s is the least vertex of the returned cycle, and its second vertex is
-    below its last.  Triangles are found with bit masks; longer cycles by a
-    DFS that prunes a partial path when the BFS distance back to s exceeds
-    the remaining step budget; that never cuts a cycle through s in either
-    direction, and second vertices go in increasing order, so the first full
-    path found has the lower second vertex.  Returns None when no such cycle
-    exists (in particular when length > n).
+    below its last.  Triangles come from the edge walk of _triangles; longer
+    cycles from the DFS of _cycles.  Returns None when no such cycle exists
+    (in particular when length > n).
     """
-    return _find_cycle(G.adj, length, 0)
+    _check_cycle_length(length)
+    if length == 3:
+        return next(_triangles(G, G.adj), None)
+    return next(_cycles(G.adj, length), None)
 
 
-def _find_cycle(
-    adj: list[int] | tuple[int, ...], length: int, start: int
-) -> Optional[tuple[int, ...]]:
-    """find_cycle_of_length on a bare adjacency list, trying anchors >= start.
-
-    Skipping the anchors below `start` gives the same cycle whenever none of
-    them is the least vertex of a `length`-cycle, which is how the scrub
-    resumes after deleting edges.
-    """
+def _check_cycle_length(length: int) -> None:
     if length < 3:
         raise ValueError("cycle length must be at least 3")
     if length > _CYCLE_LIMIT:
         raise CapabilityError(f"cycle search supports length <= {_CYCLE_LIMIT}, got {length}")
+
+
+def _triangles(G: Graph, adj: list[int] | tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
+    """The triangles (s, w1, w2), s < w1 < w2, in the DFS's order: least s,
+    then least w1, then least w2.
+
+    adj is G.adj, or a copy of it that the caller deletes edges from between
+    triangles.  The walk visits the rows (s, w1) of G.ends whose ends have a
+    common neighbour in G (common_neighbours), in order, and re-checks each
+    on adj, taking the least w2 > w1 adjacent to both.  Deleting edges never
+    creates a triangle, so a row that had none when it was passed has none
+    later, and each triangle yielded is the first one left in adj.
+    """
+    common = common_neighbours(bit_rows(G.adj, G.n), G.ends)
+    for s, w1 in G.ends[common > 0].tolist():
+        both = (adj[s] & adj[w1]) >> (w1 + 1)
+        if both and adj[s] >> w1 & 1:
+            yield s, w1, w1 + (both & -both).bit_length()
+
+
+def _cycles(adj: list[int] | tuple[int, ...], length: int) -> Iterator[tuple[int, ...]]:
+    """The cycles on `length` vertices in lowest-index DFS order, one at a
+    time: a DFS from each anchor s prunes a partial path when the BFS
+    distance back to s exceeds the remaining step budget; that never cuts a
+    cycle through s in either direction, and second vertices go in
+    increasing order, so the first full path found has the lower second
+    vertex.
+
+    The caller may delete edges from adj in place between cycles.  The walk
+    resumes at the last cycle's anchor (its least vertex): no lower anchor
+    had a cycle of this length before the deletion, and deleting edges
+    creates none.
+    """
     n = len(adj)
     if length > n:
-        return None
-    if length == 3:
-        # The DFS's choice: least anchor s, then the least w1 > s in N(s)
-        # with a common neighbour w2 > w1 in N(s), then the least such w2.
-        for s in range(start, n):
-            rest = adj[s] >> (s + 1) << (s + 1)
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                w1 = low.bit_length() - 1
-                common = adj[w1] & rest
-                if common:
-                    return (s, w1, (common & -common).bit_length() - 1)
-        return None
+        return
     full = (1 << n) - 1
-    for s in range(start, n):
+    for s in range(n):
         region = full & ~((1 << s) - 1)
-        # BFS distances from s within the region
-        dist = [-1] * n
-        for d, layer in enumerate(bfs_layers(adj, 1 << s, region)):
-            for u in iter_bits(layer):
-                dist[u] = d
+        while True:
+            # BFS distances from s within the region
+            dist = [-1] * n
+            for d, layer in enumerate(bfs_layers(adj, 1 << s, region)):
+                for u in iter_bits(layer):
+                    dist[u] = d
 
-        path = [s]
+            path = [s]
 
-        def dfs(u: int, used: int, count: int) -> Optional[tuple[int, ...]]:
-            if count == length:
-                # u was admitted at distance 1, so the path closes at s.
-                return tuple(path)
-            budget = length - count
-            for w in iter_bits(adj[u] & region & ~used):
-                if dist[w] < 0 or dist[w] > budget:
-                    continue
-                path.append(w)
-                hit = dfs(w, used | (1 << w), count + 1)
-                if hit is not None:
-                    return hit
-                path.pop()
-            return None
+            def dfs(u: int, used: int, count: int) -> Optional[tuple[int, ...]]:
+                if count == length:
+                    # u was admitted at distance 1, so the path closes at s.
+                    return tuple(path)
+                budget = length - count
+                for w in iter_bits(adj[u] & region & ~used):
+                    if dist[w] < 0 or dist[w] > budget:
+                        continue
+                    path.append(w)
+                    hit = dfs(w, used | (1 << w), count + 1)
+                    if hit is not None:
+                        return hit
+                    path.pop()
+                return None
 
-        found = dfs(s, 1 << s, 1)
-        if found is not None:
-            return found
-    return None
+            found = dfs(s, 1 << s, 1)
+            if found is None:
+                break
+            yield found
 
 
 def _scan(text: str) -> tuple[str, np.ndarray, Optional[np.ndarray]]:

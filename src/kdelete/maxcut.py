@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, islice, permutations
 from math import comb, factorial
 
 import numpy as np
@@ -198,26 +198,32 @@ def _grouping_count(k: int, sizes: tuple[int, ...]) -> int:
     return total
 
 
-def _pair_weights(G: Graph, fine: VertexPartition) -> list[list[int]]:
+def _pair_weights(G: Graph, fine: VertexPartition) -> np.ndarray:
+    """(k, k) int64 w: w[a][b] edges between fine blocks a != b, 0 on the
+    diagonal.  Every sum of its entries is at most 2m, far inside int64."""
     k = fine.k
     assign = fine.labels()
     a, b = assign[G.ends[:, 0]], assign[G.ends[:, 1]]
     w = np.bincount(a * k + b, minlength=k * k).reshape(k, k)
-    w = w + w.T
+    w += w.T
     np.fill_diagonal(w, 0)  # the blocks' own edges join no two labels
-    return w.tolist()
+    return w
 
 
-def _grouping_internal(w, groups) -> int:
-    total = 0
-    for g in groups:
-        for i, a in enumerate(g):
-            for b in g[i + 1 :]:
-                total += w[a][b]
+def _inside_weight(w: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """int64 weight inside each row of groups, an (N, s) array of labels:
+    one gather per position i of the weights to the positions after it."""
+    total = np.zeros(len(groups), dtype=np.int64)
+    for i in range(groups.shape[1] - 1):
+        total += w[groups[:, i, None], groups[:, i + 1 :]].sum(axis=1)
     return total
 
 
-def _ce_grouping(w: list[list[int]], sizes: tuple[int, ...]) -> list[list[int]]:
+def _grouping_internal(w: np.ndarray, groups: list[list[int]]) -> int:
+    return sum(int(_inside_weight(w, np.array([g]))[0]) for g in groups)
+
+
+def _ce_grouping(w: np.ndarray, sizes: tuple[int, ...]) -> list[list[int]]:
     """Conditional-expectation greedy: place each label in the group that
     minimizes the expected internal weight of a random equitable completion.
 
@@ -233,34 +239,39 @@ def _ce_grouping(w: list[list[int]], sizes: tuple[int, ...]) -> list[list[int]]:
     of g: A B wg[u][g] + B ((cap[g]-1) row_u - s[g]) - 2 pairs (cap[g]-1)
     with A = max(R,1), B = max(R-1,1).  The key is those terms only, so the
     order of the groups, and the first minimal one, are unchanged.
+
+    w is the (k, k) int64 weight array.  The weights to each group, wg, are
+    an (l, k) int64 array that takes one numpy row update per label; the
+    keys are Python ints, so they are exact whatever their size.
     """
     k = len(w)
     l = len(sizes)
     groups: list[list[int]] = [[] for _ in range(l)]
     cap = list(sizes)
-    # wg[v][h]: weight from v to the labels placed in group h; s[h]: its sum
-    # over the labels left; pairs: the weight among the labels left.
-    wg = [[0] * l for _ in range(k)]
+    # wg[h][v]: weight from v to the labels placed in group h; s[h]: its sum
+    # over the labels left; pairs[u]: the weight among the labels after u.
+    upper = np.triu(w, 1)
+    rows = upper.sum(axis=1)
+    pairs = (rows.sum() - rows.cumsum()).tolist()
+    rows = rows.tolist()
+    wg = np.zeros((l, k), dtype=np.int64)
     s = [0] * l
-    pairs = sum(map(sum, w)) // 2
     for u in range(k):
-        left = range(u + 1, k)
-        R = len(left)
-        row_u = sum(w[u][v] for v in left)
-        pairs -= row_u
-        s = [s[h] - wg[u][h] for h in range(l)]
+        R = k - 1 - u
         A, B = max(R, 1), max(R - 1, 1)
-        best = min(
-            (g for g in range(l) if cap[g]),
-            key=lambda g: A * B * wg[u][g]
-            + B * ((cap[g] - 1) * row_u - s[g])
-            - 2 * pairs * (cap[g] - 1),
-        )
+        wgu = wg[:, u].tolist()
+        s = [t - x for t, x in zip(s, wgu)]
+        c = B * rows[u] - 2 * pairs[u]
+        best = low = None
+        for g, (x, t, room) in enumerate(zip(wgu, s, cap)):
+            if room:
+                key = A * B * x - B * t + (room - 1) * c
+                if best is None or key < low:
+                    best, low = g, key
         groups[best].append(u)
         cap[best] -= 1
-        for v in left:
-            wg[v][best] += w[u][v]
-        s[best] += row_u
+        wg[best, u + 1 :] += w[u, u + 1 :]
+        s[best] += rows[u]
     return groups
 
 
@@ -271,8 +282,10 @@ def coarsen_cut(G: Graph, fine: VertexPartition, l: int) -> CutResult:
     A uniformly random equitable grouping keeps each crossing edge with
     probability 1 - sum C(s_i,2)/C(k,2) = d_l(K_k), and the conditional-
     expectation greedy never falls below that average; small instances are
-    additionally enumerated exhaustively, which can only improve the
-    incumbent, so the guarantee is asserted on the result.
+    additionally scored exhaustively, and the first best grouping replaces
+    the greedy's only when it is strictly lighter, so the guarantee is
+    asserted on the result.  The grouped internal weight is the fine
+    crossing edges that the groups put inside, fine_crossing - crossing.
     """
     if l < 1:
         raise ValueError("l must be positive")
@@ -287,13 +300,12 @@ def coarsen_cut(G: Graph, fine: VertexPartition, l: int) -> CutResult:
         )
     sizes = balanced_group_sizes(k, l)
     w = _pair_weights(G, fine)
-    groups = _ce_grouping(w, sizes)
-    internal, method = _grouping_internal(w, groups), "coarsen-ce"
+    groups, method = _ce_grouping(w, sizes), "coarsen-ce"
     if _grouping_count(k, sizes) <= _GROUPING_ENUM_LIMIT:
-        for grouping in _enumerate_groupings(k, sizes):
-            got = _grouping_internal(w, grouping)
-            if got < internal:
-                internal, method, groups = got, "coarsen-exhaustive", grouping
+        scores = _grouping_scores(w, np.arange(k)[None, :], sizes)[0]
+        first = int(scores.argmin())
+        if scores[first] < _grouping_internal(w, groups):
+            groups, method = _nth_grouping(k, sizes, first), "coarsen-exhaustive"
     blocks = []
     for g in groups:
         m = 0
@@ -313,38 +325,69 @@ def coarsen_cut(G: Graph, fine: VertexPartition, l: int) -> CutResult:
             "l": l,
             "fine_k": k,
             "fine_crossing": fine_crossing,
-            "grouped_internal_weight": internal,
+            "grouped_internal_weight": fine_crossing - crossing,
         },
     )
 
 
-def _enumerate_groupings(k: int, sizes: tuple[int, ...]):
-    """All partitions of 0..k-1 into unlabeled groups of the given sizes.
+def _grouping_scores(w: np.ndarray, rem: np.ndarray, needed: tuple[int, ...]) -> np.ndarray:
+    """(B, N) int64: for each row of rem, B ascending label sets of size r,
+    the internal weight of each of its N partitions into unlabeled groups
+    of the sizes `needed` (descending).
 
-    The smallest unplaced label anchors a fresh group of each still-needed
-    size (one representative size per multiplicity), which visits every
-    grouping exactly once.
-    """
-    def rec(remaining: tuple[int, ...], needed: tuple[int, ...]):
-        if not needed:
-            yield []
-            return
-        anchor = remaining[0]
-        rest = remaining[1:]
-        seen_sizes = set()
-        for idx, s in enumerate(needed):
-            if s in seen_sizes:
+    The groupings come in this order, each once: the smallest label left
+    anchors a fresh group of each still-needed size in turn (one
+    representative size per multiplicity), its mates in combinations
+    order, then come the groupings of the labels left.  All B rows are
+    scored at once, level by level: the C groups an anchor can take are one
+    (B * C, s) array, and the labels they leave one (B * C, r - s) array,
+    scored by the next level."""
+    if len(needed) == 1:
+        return _inside_weight(w, rem)[:, None]
+    if needed[0] == 1:  # all singletons: one grouping, nothing inside
+        return np.zeros((len(rem), 1), dtype=np.int64)
+    B, r = rem.shape
+    scores = []
+    for i, s in enumerate(needed):
+        if s in needed[:i]:
+            continue
+        count = comb(r - 1, s - 1)
+        mates = np.fromiter(
+            chain.from_iterable(combinations(range(1, r), s - 1)),
+            dtype=np.intp, count=count * (s - 1),
+        ).reshape(count, s - 1)
+        taken = np.zeros((count, r), dtype=bool)
+        taken[:, 0] = True
+        taken[np.arange(count)[:, None], mates] = True
+        inside = rem[:, taken.nonzero()[1].reshape(count, s)].reshape(B * count, s)
+        left = rem[:, (~taken).nonzero()[1].reshape(count, r - s)].reshape(B * count, r - s)
+        tails = _grouping_scores(w, left, needed[:i] + needed[i + 1 :])
+        scores.append((_inside_weight(w, inside)[:, None] + tails).reshape(B, -1))
+    return np.concatenate(scores, axis=1)
+
+
+def _nth_grouping(k: int, needed: tuple[int, ...], index: int) -> list[list[int]]:
+    """The grouping of 0..k-1 at position `index` in _grouping_scores'
+    order, found by counting the groupings of each anchor's choices."""
+    rem: list[int] = list(range(k))
+    groups = []
+    while needed:
+        anchor, rest = rem[0], rem[1:]
+        for i, s in enumerate(needed):
+            if s in needed[:i]:
                 continue
-            seen_sizes.add(s)
-            left_needed = needed[:idx] + needed[idx + 1 :]
-            for mates in combinations(rest, s - 1):
-                group = [anchor, *mates]
-                taken = set(mates)
-                rem = tuple(v for v in rest if v not in taken)
-                for tail in rec(rem, left_needed):
-                    yield [group, *tail]
-
-    yield from rec(tuple(range(k)), tuple(sorted(sizes, reverse=True)))
+            left = needed[:i] + needed[i + 1 :]
+            tails = _grouping_count(len(rest) - s + 1, left)
+            block = comb(len(rest), s - 1) * tails
+            if index < block:
+                break
+            index -= block
+        c, index = divmod(index, tails)
+        mates = next(islice(combinations(rest, s - 1), c, None))
+        groups.append([anchor, *mates])
+        rem = [v for v in rest if v not in mates]
+        needed = left
+    return groups
 
 
 def surplus_compose(
@@ -436,14 +479,22 @@ def maxcut_dense_driver(G: Graph, r: int, seed: int = 0) -> CutResult:
 
         crossing >= (m - m/(2k)) * k/(2(k-1)) = m/2 + m/(4(k-1)).
 
-    A plain local-search two-cut is always computed as well and the better
-    cut returned, so 2 * crossing >= m holds unconditionally.
+    A plain local-search two-cut, local_search_cut(G, 2, seed), is always
+    compared as well and the better cut returned, so 2 * crossing >= m holds
+    unconditionally.  maxcut_odd_cycle_free hands down the one it already
+    has when the dense core is all of G; otherwise it is computed here.
     """
     if r < 1:
         raise ValueError("r must be positive")
-    n, m = G.n, G.m
-    if m == 0:
+    if G.m == 0:
         return _no_edge_cut(G)
+    return _dense_driver(G, r, local_search_cut(G, 2, seed=seed))
+
+
+def _dense_driver(G: Graph, r: int, greedy2: CutResult) -> CutResult:
+    """maxcut_dense_driver on a graph with edges, given its local-search
+    two-cut."""
+    n, m = G.n, G.m
     c_r = 4 * (12 * r) ** r + (100 * r**4 if r >= 2 else 0)
     need = (2 * c_r * n * n + m - 1) // m
     k0 = iroot(need, r)
@@ -457,7 +508,6 @@ def maxcut_dense_driver(G: Graph, r: int, seed: int = 0) -> CutResult:
     m0 = report.deleted
     fine = report.partition
     coarse = coarsen_cut(G, fine, 2)
-    greedy2 = local_search_cut(G, 2, seed=seed)
     best = coarse if coarse.crossing >= greedy2.crossing else greedy2
     dense = 2 * k * m0 <= m
     if dense and best.crossing * 4 * (k - 1) < m * (2 * k - 1):
@@ -506,7 +556,10 @@ def maxcut_odd_cycle_free(G: Graph, r: int, seed: int = 0) -> CutResult:
     if 2 * Hc.m >= m:
         rest = G.full_mask & ~core
         Hr, _ = G.induced(rest)
-        core_cut = maxcut_dense_driver(Hc, r, seed=seed)
+        if Hc is G:  # the driver's local-search cut is greedy2 itself
+            core_cut = _dense_driver(G, r, greedy2)
+        else:
+            core_cut = maxcut_dense_driver(Hc, r, seed=seed)
         rest_cut = local_search_cut(Hr, 2, seed=seed)
         stitched = surplus_compose(
             G, [core, rest], [core_cut.partition, rest_cut.partition], 2

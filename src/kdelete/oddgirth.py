@@ -32,7 +32,9 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    _find_cycle,
+    _check_cycle_length,
+    _cycles,
+    _triangles,
     bfs_layers,
     bit_rows,
     degree_sum,
@@ -297,33 +299,42 @@ def scrub_short_odd_cycles(G: Graph, r: int) -> ScrubReport:
     n^(3/2) ceiling, which `holds` checks exactly.
 
     Each length takes the first cycle in find_cycle_of_length's order, again
-    and again.  The edges come off one adjacency list in place, and the next
-    search resumes at the last cycle's anchor (its least vertex): no lower
-    anchor had a cycle of this length before the deletion, and deleting
-    edges creates none, so the cycles found are exactly those a search from
-    anchor 0 on the rebuilt graph would find.  The graph is rebuilt once,
-    at the end.
+    and again, and the edges come off one adjacency list in place: triangles
+    from the edge walk of graphs._triangles, which visits only the edges
+    with a common neighbour, and longer cycles from the DFS of
+    graphs._cycles, which resumes at the last cycle's anchor.  Both find
+    exactly the cycles a search from anchor 0 on the rebuilt graph would
+    find, since deleting edges creates no cycle.  For the same reason a
+    length ell >= 5 is skipped when the bounded odd_girth of the graph left
+    after the shorter lengths exceeds ell: no ell-cycle is left to find.
+    The graph is rebuilt only for that test and at the end.
     """
     if r < 1:
         raise ValueError("r must be positive")
+    if r > 1:
+        _check_cycle_length(2 * r - 1)
     adj = list(G.adj)
     removed: list[tuple[int, int]] = []
     cycles: list[tuple[int, ...]] = []
+    kept = 0  # removed[:kept] are already deleted from G
     for ell in range(3, 2 * r, 2):
-        anchor = 0
-        while True:
-            cyc = _find_cycle(adj, ell, anchor)
-            if cyc is None:
-                break
-            anchor = cyc[0]
+        if ell == 3:
+            found = _triangles(G, adj)
+        else:
+            if kept < len(removed):
+                G, kept = G.delete_edges(removed[kept:]), len(removed)
+            if odd_girth(G, ell) > ell:
+                continue
+            found = _cycles(adj, ell)
+        for cyc in found:
             for i in range(ell):
                 u, v = cyc[i], cyc[(i + 1) % ell]
                 adj[u] &= ~(1 << v)
                 adj[v] &= ~(1 << u)
                 removed.append((u, v) if u < v else (v, u))
             cycles.append(cyc)
-    if removed:
-        G = G.delete_edges(removed)
+    if kept < len(removed):
+        G = G.delete_edges(removed[kept:])
     return ScrubReport(
         graph=G, r=r, removed_edges=tuple(removed), cycles=tuple(cycles)
     )

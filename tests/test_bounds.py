@@ -1,7 +1,8 @@
 import math
 from fractions import Fraction
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdelete._rng import SplitMix64, derive_seed
@@ -103,3 +104,29 @@ def test_shuffle_is_permutation(seed):
     xs = list(range(20))
     rng.shuffle(xs)
     assert sorted(xs) == list(range(20))
+
+
+def _shuffle_reference(rng: SplitMix64, items: list) -> None:
+    """Fisher-Yates with one scalar randrange per swap."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 500])
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 11, 2**64 - 1])
+def test_shuffle_matches_scalar_fisher_yates(n, seed):
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    xs, ys = list(range(n)), list(range(n))
+    a.shuffle(xs)
+    _shuffle_reference(b, ys)
+    assert xs == ys
+    assert a.next_u64() == b.next_u64()
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 300))
+@settings(max_examples=50)
+def test_u64_array_matches_next_u64(seed, count):
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    assert a._next_u64s(count).tolist() == [b.next_u64() for _ in range(count)]
+    assert a.state == b.state

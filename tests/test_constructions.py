@@ -20,7 +20,7 @@ from kdelete.constructions import (
     second_eigenvalue,
     spectral_lower_bound,
 )
-from kdelete.corpus import regular_suite
+from kdelete.corpus import random_bipartite, regular_suite
 from kdelete.errors import PreconditionError
 from kdelete.graphs import build_graph, edges_between, odd_girth
 from kdelete.oracle import exact_h
@@ -68,6 +68,19 @@ def test_random_graph_is_seed_deterministic(seed):
     a = random_graph(12, 0.4, seed=seed)
     b = random_graph(12, 0.4, seed=seed)
     assert a.edges == b.edges
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 40])
+@pytest.mark.parametrize("p", [0.0, 0.05, 1 / 3, 0.5, 1.0])
+@pytest.mark.parametrize("seed", [0, 3, 2**63 + 1])
+def test_random_generators_match_the_scalar_stream(n, p, seed):
+    rng = SplitMix64(derive_seed(seed, 0x41, n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    _same_graph(random_graph(n, p, seed=seed), build_graph(n, pairs))
+    b = n // 2 + 1
+    rng = SplitMix64(derive_seed(seed, 0x42, n, b))
+    pairs = [(u, n + v) for u in range(n) for v in range(b) if rng.random() < p]
+    _same_graph(random_bipartite(n, b, p, seed=seed), build_graph(n + b, pairs))
 
 
 def _pairwise(n, adjacent):

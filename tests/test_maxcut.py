@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,9 @@ from kdelete import maxcut
 from kdelete.maxcut import (
     CutResult,
     _ce_grouping,
+    _grouping_count,
+    _grouping_scores,
+    _nth_grouping,
     balanced_group_sizes,
     coarsen_cut,
     d_l_complete,
@@ -195,7 +200,7 @@ def test_ce_grouping_matches_reference(w):
     k = len(w)
     for l in range(1, k + 1):
         sizes = balanced_group_sizes(k, l)
-        assert _ce_grouping(w, sizes) == _ce_grouping_reference(w, sizes)
+        assert _ce_grouping(np.array(w, dtype=np.int64), sizes) == _ce_grouping_reference(w, sizes)
 
 
 def test_ce_grouping_matches_reference_on_the_driver_fine_cut(monkeypatch):
@@ -210,7 +215,74 @@ def test_ce_grouping_matches_reference_on_the_driver_fine_cut(monkeypatch):
     assert maxcut_dense_driver(G, 2).meta["k"] == 234
     [(w, sizes)] = calls
     assert len(w) == 234
-    assert _ce_grouping(w, sizes) == _ce_grouping_reference(w, sizes)
+    assert _ce_grouping(w, sizes) == _ce_grouping_reference(w.tolist(), sizes)
+
+
+# The exhaustive scan as it stood before it was scored on arrays: a Python
+# generator of the groupings and a Python sum per grouping, kept so the
+# order and the scores can be compared exactly.
+def _enumerate_groupings_reference(k: int, sizes: tuple[int, ...]):
+    def rec(remaining: tuple[int, ...], needed: tuple[int, ...]):
+        if not needed:
+            yield []
+            return
+        anchor = remaining[0]
+        rest = remaining[1:]
+        seen_sizes = set()
+        for idx, s in enumerate(needed):
+            if s in seen_sizes:
+                continue
+            seen_sizes.add(s)
+            left_needed = needed[:idx] + needed[idx + 1 :]
+            for mates in combinations(rest, s - 1):
+                group = [anchor, *mates]
+                taken = set(mates)
+                rem = tuple(v for v in rest if v not in taken)
+                for tail in rec(rem, left_needed):
+                    yield [group, *tail]
+
+    yield from rec(tuple(range(k)), tuple(sorted(sizes, reverse=True)))
+
+
+def _grouping_internal_reference(w: list[list[int]], groups) -> int:
+    return sum(w[a][b] for g in groups for i, a in enumerate(g) for b in g[i + 1 :])
+
+
+@given(weight_matrices())
+@settings(max_examples=40)
+def test_grouping_scores_follow_the_generator(w):
+    k = len(w)
+    arr = np.array(w, dtype=np.int64).reshape(k, k)
+    for l in range(1, k + 1):
+        sizes = balanced_group_sizes(k, l)
+        if _grouping_count(k, sizes) > 2000:
+            continue
+        want = list(_enumerate_groupings_reference(k, sizes))
+        scores = _grouping_scores(arr, np.arange(k)[None, :], sizes)
+        assert scores.shape == (1, len(want)) == (1, _grouping_count(k, sizes))
+        assert scores[0].tolist() == [_grouping_internal_reference(w, g) for g in want]
+        for i in {0, len(want) // 2, len(want) - 1, int(scores[0].argmin())}:
+            assert _nth_grouping(k, sizes, i) == want[i]
+
+
+@pytest.mark.parametrize("k, sizes", [(9, (3, 3, 3)), (10, (4, 3, 3)), (10, (2, 2, 2, 2, 1, 1))])
+def test_nth_grouping_walks_the_generator(k, sizes):
+    for i, grouping in enumerate(_enumerate_groupings_reference(k, sizes)):
+        assert _nth_grouping(k, sizes, i) == grouping
+
+
+def test_driver_runs_one_local_search_on_g_when_the_core_is_all_of_it(monkeypatch):
+    G = cons.blow_up(cons.cycle(7), 50)
+    on_g = []
+
+    def counting(H, *args, **kwargs):
+        on_g.append(H is G)
+        return local_search_cut(H, *args, **kwargs)
+
+    monkeypatch.setattr(maxcut, "local_search_cut", counting)
+    cut = maxcut_odd_cycle_free(G, 2, seed=0)
+    assert cut.meta["core_size"] == G.n
+    assert on_g.count(True) == 1
 
 
 def test_driver_coarsening_ce_alone_and_strict_exhaustive_win():

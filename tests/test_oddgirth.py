@@ -215,7 +215,9 @@ def test_girth_checks_search_only_up_to_2r_plus_1(monkeypatch):
     monkeypatch.setattr(verify, "odd_girth", spy)
     partition_odd_girth(cons.cycle(11), 2, 2, verify=True)
     verify._check_scrubber(c5_free_scrub_suite()[:1], 3)
-    assert limits == [5, 7]
+    # the check at 2r + 1 = 5, then the r = 3 scrub's test before length 5,
+    # the check at 7, and the scrub inside partition_odd_cycle_free
+    assert limits == [5, 5, 7, 5]
 
 
 @given(any_graph, st.integers(1, 3))
@@ -427,3 +429,16 @@ def test_scrub_matches_plain_on_c7_blow_ups(t):
 def test_triangle_search_matches_plain_on_all_labeled_graphs(n):
     for G in enumerate_graphs(n):
         assert find_cycle_of_length(G, 3) == find_cycle_of_length_plain(G, 3)
+
+
+@pytest.mark.parametrize("name", ["windmill-50", "book-40", "K9", "C5[3]-relabeled"])
+def test_triangle_walk_and_scrub_match_plain(name):
+    G = {
+        "windmill-50": windmill(50),
+        "book-40": book(40),
+        "K9": cons.complete(9),
+        "C5[3]-relabeled": relabeled(cons.blow_up(cons.cycle(5), 3), 5),
+    }[name]
+    assert find_cycle_of_length(G, 3) == find_cycle_of_length_plain(G, 3)
+    for r in (2, 3):
+        assert_scrub_matches_plain(G, r)

@@ -52,7 +52,7 @@ def test_edge_array_counts_match_per_edge_loops(G, k, parsed, rnd):
     assert part.internal_edges(G) == inside
     assert part.internal_count(G) == len(inside)
     assert part.crossing_count(G) == G.m - len(inside)
-    assert _pair_weights(G, part) == weights
+    assert _pair_weights(G, part).tolist() == weights
 
 
 def test_counts_refuse_a_graph_of_another_size():
