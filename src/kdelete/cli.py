@@ -9,6 +9,11 @@ seed reproduce the output byte for byte (wall time goes to stderr for that
 reason).  `gen` prints an edge list, `oracle` prints a bare integer,
 and `verify` prints one JSON line per check.
 
+`partition` always takes the default cover, select_cover(G, k), whose
+n^2/(e k) uncovered-edge ceiling every reported deletion ceiling rests on;
+`cover --strategy` keeps the other selectors for comparison.  `gen` builds
+constructions.GENERATORS[--kind] from --n, --sizes, --p and --seed.
+
 Exit codes: 0 ok, 2 usage error, 3 capability/budget/precondition error
 (including inputs over graphs.MAX_VERTICES, read or generated, any --k, --l
 or --r over it, `oracle lambda`/`oracle spectral` on more than 2,000
@@ -22,7 +27,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 import time
 
@@ -80,70 +84,38 @@ def _emit(argv: list[str], digest: str, seed: int, outputs) -> None:
     sys.stdout.write(dumps(report) + "\n")
 
 
-def _generate(kind: str, params: dict, blowup: int) -> Graph:
-    """GENERATORS[kind](**params) blown up `blowup` times.
+def _cmd_gen(args, argv) -> int:
+    """Print GENERATORS[--kind] blown up --blowup times.
 
-    The vertex count is read off the parameters and refused above
-    MAX_VERTICES before anything is built; parameters the generator does
-    not take are a usage error.
+    The vertex count is read off the flags and refused above MAX_VERTICES
+    before anything is built.
     """
-    if blowup < 1:
-        raise ValueError(f"--blowup must be positive (got {blowup})")
+    kind = args.kind
+    if kind is None:
+        raise ValueError("gen needs --kind")
     if kind == "petersen":
-        sizes = [10]
+        params, order = {}, 10
+    elif kind == "multipartite":
+        if args.sizes is None:
+            raise ValueError("--kind multipartite needs --sizes a,b,...")
+        params = {"sizes": [int(s) for s in args.sizes.split(",")]}
+        order = sum(params["sizes"])
     else:
-        sizes = params.get("sizes") if kind == "multipartite" else [params.get("n")]
-        if not isinstance(sizes, list) or not all(isinstance(x, int) for x in sizes):
-            field = "sizes" if kind == "multipartite" else "n"
-            raise ValueError(f"kind {kind} needs integer {field}")
-    order = sum(sizes) * blowup
+        if args.n is None:
+            raise ValueError(f"--kind {kind} needs --n")
+        params, order = {"n": args.n}, args.n
+        if kind == "random":
+            params.update(p=args.p, seed=args.seed)
+    if args.blowup < 1:
+        raise ValueError(f"--blowup must be positive (got {args.blowup})")
+    order *= args.blowup
     if order > MAX_VERTICES:
         raise CapabilityError(
             f"gen is limited to {MAX_VERTICES} vertices (asked for {order})"
         )
-    try:
-        G = GENERATORS[kind](**params)
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for kind {kind}: {exc}") from None
-    return blow_up(G, blowup) if blowup > 1 else G
-
-
-def _graph_from_spec(raw: str, fallback_seed: int, blowup: int) -> Graph:
-    spec = json.loads(raw)
-    if not isinstance(spec, dict):
-        raise ValueError("--spec must be a JSON object")
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in GENERATORS:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError("--spec params must be a JSON object")
-    params = dict(params)
-    if kind == "random":
-        params.setdefault("seed", spec.get("seed", fallback_seed))
-    return _generate(kind, params, blowup)
-
-
-def _cmd_gen(args, argv) -> int:
-    if args.spec is not None:
-        G = _graph_from_spec(args.spec, args.seed, args.blowup)
-    else:
-        kind = args.kind
-        if kind is None:
-            raise ValueError("gen needs --kind or --spec")
-        if kind == "petersen":
-            params = {}
-        elif kind == "multipartite":
-            if args.sizes is None:
-                raise ValueError("--kind multipartite needs --sizes a,b,...")
-            params = {"sizes": [int(s) for s in args.sizes.split(",")]}
-        else:
-            if args.n is None:
-                raise ValueError(f"--kind {kind} needs --n")
-            params = {"n": args.n}
-            if kind == "random":
-                params.update(p=args.p, seed=args.seed)
-        G = _generate(kind, params, args.blowup)
+    G = GENERATORS[kind](**params)
+    if args.blowup > 1:
+        G = blow_up(G, args.blowup)
     sys.stdout.write(format_edge_list(G))
     return 0
 
@@ -155,20 +127,11 @@ def _cmd_partition(args, argv) -> int:
         raise ValueError(f"--method {method} needs --r")
     check = args.verify_preconditions
     if method == "trianglefree":
-        report = partition_triangle_free(
-            G, args.k, strategy=args.strategy, trials=args.trials,
-            seed=args.seed, verify=check,
-        )
+        report = partition_triangle_free(G, args.k, verify=check)
     elif method == "clique":
-        report = partition_clique_free(
-            G, args.k, args.r, strategy=args.strategy, trials=args.trials,
-            seed=args.seed, verify=check,
-        )
+        report = partition_clique_free(G, args.k, args.r, verify=check)
     elif method == "wheel":
-        report = partition_wheel_free(
-            G, args.k, args.r, strategy=args.strategy, trials=args.trials,
-            seed=args.seed, verify=check,
-        )
+        report = partition_wheel_free(G, args.k, args.r, verify=check)
     elif method == "oddgirth":
         report = partition_odd_girth(G, args.k, args.r, verify=check)
     else:
@@ -278,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="edge probability for --kind random")
     p.add_argument("--blowup", type=int, default=1,
                    help="replace each vertex by this many clones")
-    p.add_argument("--spec", default=None,
-                   help='JSON construction spec {"kind":..,"params":..,"seed":..}')
     common(p, graph_input=False)
     p.set_defaults(func=_cmd_gen)
 
@@ -289,9 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None,
                    help="forbidden-structure order (clique order, or the r of "
                         "C_{2r+1} / W_{2r+1} / odd girth 2r+1)")
-    p.add_argument("--strategy", default="best",
-                   choices=STRATEGIES)
-    p.add_argument("--trials", type=int, default=64)
     p.add_argument("--verify-preconditions", action="store_true",
                    help="search for the forbidden structure before running")
     common(p)

@@ -68,9 +68,6 @@ def verify_wheel_free(G: Graph, r: int) -> None:
 def partition_triangle_free(
     G: Graph,
     k: int,
-    strategy: str = "best",
-    trials: int = 64,
-    seed: int = 0,
     verify: bool = False,
 ) -> BoundReport:
     """k-partition of a triangle-free graph deleting at most n^2/(e k^2).
@@ -78,20 +75,20 @@ def partition_triangle_free(
     The k disjoint neighborhood pieces of a cover selection are independent
     sets here, so seeding the greedy completion with them deletes only the
     completion edges: at most uncovered/k, and the expectation-guided cover
-    keeps uncovered <= n^2/(e k).  The report is honest on any input; the
-    ceiling is guaranteed for triangle-free graphs under the "best" or
-    "expectation" strategies.
+    keeps uncovered <= n^2/(e k); select_cover(G, k) never leaves more than
+    it does.  The report is honest on any input; the ceiling is guaranteed
+    for triangle-free graphs.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if verify:
         verify_clique_free(G, 3)
     n = G.n
-    meta = {"strategy": strategy}
+    meta = {"strategy": "best"}
     if k >= n:
         partition = trivial_distinct(n, k)
     else:
-        sel = select_cover(G, k, strategy=strategy, trials=trials, seed=seed)
+        sel = select_cover(G, k)
         partition, added = greedy_complete(G, sel.disjoint_sets, k=k)
         if added * k > sel.uncovered_edges:
             raise InvariantViolation("completion exceeded the uncovered-edge average")
@@ -108,15 +105,13 @@ def partition_triangle_free(
     )
 
 
-def _divide(
-    G: Graph, k: int, chunks: int, strategy: str, trials: int, seed: int, inner
-) -> tuple[VertexPartition, dict]:
+def _divide(G: Graph, k: int, chunks: int, inner) -> tuple[VertexPartition, dict]:
     """The divide step shared by the clique- and wheel-free partitioners:
     partition each piece of even_parts(G, chunks) as inner(induced piece),
     then compose and complete over k blocks.  Returns the partition and the
     divide-path meta.
     """
-    parts = even_parts(G, chunks, strategy=strategy, trials=trials, seed=seed)
+    parts = even_parts(G, chunks)
     reports = [inner(G.induced(piece)[0]) for piece in parts.disjoint_sets]
     partition, added = compose_partition(
         G, parts.disjoint_sets, [rep.partition for rep in reports], k=k
@@ -135,9 +130,6 @@ def partition_clique_free(
     G: Graph,
     k: int,
     r: int,
-    strategy: str = "best",
-    trials: int = 64,
-    seed: int = 0,
     verify: bool = False,
 ) -> BoundReport:
     """k-partition of a K_r-free graph (3 <= r <= 8) deleting at most
@@ -159,9 +151,7 @@ def partition_clique_free(
             f"{_MAX_CLIQUE_ORDER} (got r={r})"
         )
     if r == 3:
-        return partition_triangle_free(
-            G, k, strategy=strategy, trials=trials, seed=seed, verify=verify
-        )
+        return partition_triangle_free(G, k, verify=verify)
     if verify:
         verify_clique_free(G, r)
     n = G.n
@@ -178,10 +168,7 @@ def partition_clique_free(
         t = 2 * (iroot(k, r - 2) // 2)
         s = t ** (r - 3)
         partition, meta = _divide(
-            G, k, t // 2, strategy, trials, seed,
-            lambda H: partition_clique_free(
-                H, s, r - 1, strategy=strategy, trials=trials, seed=seed
-            ),
+            G, k, t // 2, lambda H: partition_clique_free(H, s, r - 1)
         )
         meta.update(t=t, s=s)
     deleted = partition.internal_count(G)
@@ -203,9 +190,6 @@ def partition_wheel_free(
     G: Graph,
     k: int,
     r: int,
-    strategy: str = "best",
-    trials: int = 64,
-    seed: int = 0,
     verify: bool = False,
 ) -> BoundReport:
     """k-partition of a graph with no odd wheel W_{2r+1} (hub joined to a
@@ -243,8 +227,7 @@ def partition_wheel_free(
             meta = {"path": "trivial"}
         else:
             partition, meta = _divide(
-                G, k, t, strategy, trials, seed,
-                lambda H: partition_odd_cycle_free(H, s, r),
+                G, k, t, lambda H: partition_odd_cycle_free(H, s, r)
             )
             # Every scrubbed edge and every block-internal edge of the pieces
             # is charged, so this dominates the partition's internal count.

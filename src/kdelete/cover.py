@@ -532,9 +532,7 @@ def exact_u(G: Graph, k: int) -> int:
     return best
 
 
-def even_parts(
-    G: Graph, t: int, strategy: str = "best", trials: int = 1, seed: int = 0
-) -> CoverSelection:
+def even_parts(G: Graph, t: int) -> CoverSelection:
     """Select t centers, then refine the disjoint pieces into exactly 2t sets
     of size at most floor(n/t) each, preserving the covered edge set.
 
@@ -548,7 +546,7 @@ def even_parts(
         raise ValueError("t must be positive")
     if t > G.n:
         raise ValueError(f"even_parts needs t <= n (got t={t}, n={G.n})")
-    base = select_cover(G, t, strategy=strategy, trials=trials, seed=seed)
+    base = select_cover(G, t)
     chunk = G.n // t
     centers: list[int] = []
     sets: list[int] = []

@@ -314,8 +314,7 @@ def coarsen_cut(G: Graph, fine: VertexPartition, l: int) -> CutResult:
         blocks.append(m)
     part = VertexPartition(G.n, tuple(blocks))
     crossing = part.crossing_count(G)
-    expect_num = comb(k, 2) - sum(comb(s, 2) for s in sizes)
-    if crossing * comb(k, 2) < expect_num * fine_crossing:
+    if crossing < d_l_complete(l, k) * fine_crossing:
         raise InvariantViolation("coarsening fell below the d_l(K_k) share")
     return CutResult(
         partition=part,
@@ -433,14 +432,16 @@ def surplus_compose(
         piece_edges = edges_inside(G, mask)
         inner_edges += piece_edges
         inner_crossing += piece_edges - sum(edges_inside(G, b) for b in lifted)
+        if not any(totals):  # nothing placed yet: keep this piece's labels
+            totals = lifted
+            continue
         match = [
             [edges_between(G, lb, tb) for tb in totals] for lb in lifted
         ]
-        best_perm, best_cost = None, None
-        for perm in permutations(range(l)):
-            cost = sum(match[j][perm[j]] for j in range(l))
-            if best_cost is None or cost < best_cost:
-                best_perm, best_cost = perm, cost
+        best_perm = min(
+            permutations(range(l)),
+            key=lambda perm: sum(match[j][perm[j]] for j in range(l)),
+        )
         for j, target in enumerate(best_perm):
             totals[target] |= lifted[j]
     part = VertexPartition(G.n, tuple(totals))

@@ -127,7 +127,7 @@ def test_criterion_03_triangle_free_deletion_bound():
         count = 0
         for name, G in triangle_free_suite():
             for k in (2, 3, 4, 6):
-                rep = partition_triangle_free(G, k, seed=11)
+                rep = partition_triangle_free(G, k)
                 assert rep.guarantee_holds, (name, k)
                 ceiling = Fraction(G.n * G.n) / (E_LOWER * k * k)
                 assert Fraction(rep.deleted) <= ceiling, (name, k)
@@ -143,7 +143,7 @@ def test_criterion_04_k4_free_explicit_constant():
         count = 0
         for name, G in k4_free_suite():
             for k in (66, 128, 256):
-                rep = partition_clique_free(G, k, 4, seed=5)
+                rep = partition_clique_free(G, k, 4)
                 assert rep.guarantee_holds, (name, k)
                 d = rep.deleted
                 lhs = 9 * d * d * k**3
@@ -219,7 +219,7 @@ def test_criterion_08_oracle_duality_and_heuristic_soundness():
         # structured partitioners against the oracle on small clean inputs
         for G in (cycle(5), cycle(7), blow_up(cycle(5), 2), complete_bipartite(4, 4)):
             for k in (2, 3):
-                rep = partition_triangle_free(G, k, seed=1)
+                rep = partition_triangle_free(G, k)
                 assert rep.deleted >= exact_h(G, k)
     _stamp(8, clk, 180.0, "h == m - maxcut and heuristics >= oracle on 40+4 graphs")
 
@@ -293,7 +293,7 @@ def test_criterion_12_scaling_trend_informational():
     # Criteria 1-11 carry the substantive checks.
     with _clock() as clk:
         points = [
-            (t, k, partition_triangle_free(blow_up(cycle(5), t), k, seed=0))
+            (t, k, partition_triangle_free(blow_up(cycle(5), t), k))
             for t in (4, 8, 16, 32) for k in (2, 3, 4, 6)
         ] + [
             (t, k, partition_odd_cycle_free(blow_up(cycle(7), t), k, 2))

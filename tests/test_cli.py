@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kdelete import cli
-from kdelete.cli import main
+from kdelete.cli import build_parser, main
 from kdelete.constructions import cycle, petersen
 from kdelete.errors import EmptyWorkingSet, InvariantViolation
 from kdelete.graphs import MAX_VERTICES, format_edge_list
@@ -33,35 +33,11 @@ def test_gen_cycle_matches_golden(capsys, monkeypatch):
     assert out == C5_TEXT
 
 
-def test_gen_spec_json(capsys, monkeypatch):
-    code, out, _ = run_cli(
-        ["gen", "--spec", '{"kind":"random","params":{"n":7,"p":0.5},"seed":3}'],
-        capsys=capsys,
-    )
-    assert code == 0
-    header = out.splitlines()[0].split()
-    assert header[0] == "7"
-
-
 def test_gen_blowup(capsys, monkeypatch):
     code, out, _ = run_cli(
         ["gen", "--kind", "cycle", "--n", "5", "--blowup", "2"], capsys=capsys
     )
     assert out.splitlines()[0] == "10 20"
-
-
-@pytest.mark.parametrize("spec", [
-    '{"params":{}}',
-    "[1]",
-    '{"kind":"cycle","params":{"x":1}}',
-    '{"kind":"cycle","params":{"n":"5"}}',
-])
-def test_gen_bad_spec_is_a_usage_error(spec, capsys):
-    code, out, err = run_cli(["gen", "--spec", spec], capsys=capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("usage error:")
-    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("blowup", ["0", "-3"])
@@ -101,9 +77,9 @@ def _refuse_to_build(monkeypatch):
     ["--kind", "multipartite", "--sizes", f"{MAX_VERTICES // 2},{MAX_VERTICES // 2 + 1}"],
     ["--kind", "cycle", "--n", str(MAX_VERTICES // 2 + 1), "--blowup", "2"],
     ["--kind", "petersen", "--blowup", str(MAX_VERTICES // 10 + 1)],
-    ["--spec", f'{{"kind":"complete","params":{{"n":{MAX_VERTICES + 1}}}}}'],
-    ["--spec", f'{{"kind":"multipartite","params":{{"sizes":[{MAX_VERTICES},1]}}}}'],
-    ["--spec", '{"kind":"random","params":{"n":4000,"p":0.5}}', "--blowup", "3"],
+    ["--kind", "complete", "--n", str(MAX_VERTICES + 1)],
+    ["--kind", "multipartite", "--sizes", f"{MAX_VERTICES},1"],
+    ["--kind", "random", "--n", "4000", "--p", "0.5", "--blowup", "3"],
 ])
 def test_gen_vertex_cap_refuses_before_building(argv, capsys, monkeypatch):
     _refuse_to_build(monkeypatch)
@@ -432,12 +408,11 @@ def test_other_package_errors_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["gen"], "gen needs --kind or --spec"),
+    (["gen"], "gen needs --kind"),
     (["gen", "--kind", "multipartite"], "--kind multipartite needs --sizes"),
     (["gen", "--kind", "cycle"], "--kind cycle needs --n"),
-    (["gen", "--spec", '{"kind":"cycle","params":[5]}'], "--spec params must be a JSON object"),
-    (["gen", "--spec", '{"kind":"cycle","params":{"n":5,"x":1}}'],
-     "bad parameters for kind cycle"),
+    (["gen", "--kind", "multipartite", "--sizes", "3,x"], "invalid literal for int()"),
+    (["gen", "--kind", "random", "--n", "5", "--p", "2"], "p must lie in [0, 1]"),
     (["partition", "--method", "clique", "--k", "3"], "--method clique needs --r"),
     (["maxcut", "--method", "driver", "--r", "1", "--l", "3"],
      "the driver computes 2-cuts"),
@@ -491,6 +466,26 @@ def test_verify_failure_exits_4_and_prints_every_check(capsys, monkeypatch):
     ]
     assert "2/3 checks passed" in err
     assert "failed: broken" in err.splitlines()
+
+
+def test_subcommand_options():
+    """Every option of every subcommand, read off the parser."""
+    (sub,) = [a for a in build_parser()._actions if a.dest == "subcommand"]
+    options = {
+        name: sorted(s for a in p._actions if a.dest != "help"
+                     for s in a.option_strings or [a.dest])
+        for name, p in sub.choices.items()
+    }
+    assert options == {
+        "gen": ["--blowup", "--kind", "--n", "--p", "--seed", "--sizes"],
+        "partition": ["--input", "--k", "--method", "--r", "--seed",
+                      "--verify-preconditions"],
+        "maxcut": ["--input", "--l", "--method", "--r", "--seed", "--starts"],
+        "cover": ["--input", "--k", "--seed", "--strategy", "--trials"],
+        "scrub": ["--input", "--r", "--seed"],
+        "oracle": ["--input", "--k", "--seed", "quantity"],
+        "verify": ["--seed", "--tier"],
+    }
 
 
 def test_usage_error_exit_code():

@@ -99,7 +99,7 @@ def test_recursion_preserves_clique_freeness():
     from kdelete.cover import even_parts
 
     G = cons.complete_multipartite([12, 12, 12])  # K4-free
-    parts = even_parts(G, 4, seed=0)
+    parts = even_parts(G, 4)
     for piece in parts.disjoint_sets:
         if piece:
             H, _ = G.induced(piece)

@@ -126,7 +126,7 @@ def test_cover_dedups_nothing_but_guarantee_holds_at_k_above_n():
 @given(random_instances, st.integers(1, 4))
 def test_even_parts_shape(G, t):
     t = min(t, G.n)
-    parts = even_parts(G, t, seed=3)
+    parts = even_parts(G, t)
     sizes = [s.bit_count() for s in parts.disjoint_sets]
     assert len(sizes) == 2 * t
     assert max(sizes) <= G.n // t

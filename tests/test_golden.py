@@ -38,10 +38,10 @@ PINS = [
      "094df0801f7264fc05963cffc1256fbdd12d57b20c52feef8fd87b3dec6256db"),
     (None, "gen --kind multipartite --sizes 2,3,4",
      "17d2d9f2741be7202ba0db0029bee180790ca655cc98360bb570917b86b9c582"),
-    ("petersen", "partition --method trianglefree --k 2 --strategy expectation",
-     "bd32d01e0783d9fa3ee5fe0468f97bdbc69694cafe90b067db64fbf661b5069c"),
-    ("c5x4", "partition --method trianglefree --k 2 --strategy greedy --verify-preconditions",
-     "72332273e414c63a3f63fbaee9fe4aa00bdd6b5d3d3db52efabfe6597dd4c86f"),
+    ("petersen", "partition --method trianglefree --k 2",
+     "b06815baf35d3f81c82788ec665d8c92d210cfef6d650bb1775590ba2534c1a6"),
+    ("c5x4", "partition --method trianglefree --k 2 --verify-preconditions",
+     "c96da6fec57159630b230d830b6f9a4100935298ba0a99845879bc603167bca6"),
     ("k888", "partition --method clique --r 4 --k 4",
      "6d3d3e1b91107b766d476869a652af82fc7378019eea0c64cfc84c8fa9b3d680"),
     ("k252525", "partition --method clique --r 4 --k 66",
