@@ -15,7 +15,9 @@ The numpy kernels take masks as bit rows, made by bit_rows and read back by
 row_bits: one row of (n + 63) // 64 little-endian uint64 words per mask, bit
 v of the row (bit v % 64 of word v // 64) set <=> vertex v in the set, so an
 AND of rows is an intersection and np.bitwise_count of it a popcount.
-_graph builds every adjacency int from rows of this layout, and
+label_masks is the one writer of this layout from label arrays: it sets
+each vertex's bit in the row of its label and reads the rows off as ints,
+for _graph's adjacency and every partition built from labels.
 common_neighbours ANDs the rows of each edge's ends to count the neighbours
 they share.
 
@@ -95,6 +97,18 @@ def bit_rows(masks: Sequence[int], n: int) -> np.ndarray:
     words = (n + 63) // 64
     raw = b"".join(m.to_bytes(8 * words, "little") for m in masks)
     return np.frombuffer(raw, dtype="<u8").reshape(len(masks), words)
+
+
+def label_masks(count: int, n: int, labels: np.ndarray, vertices: np.ndarray) -> list[int]:
+    """count masks below 2**n, mask i holding vertices[j] for each j with
+    labels[j] == i, from int64 arrays of distinct (label, vertex) pairs,
+    each mask written into its bit row as bytes and read off as one int."""
+    width = 8 * ((n + 63) // 64)  # bytes per bit row
+    packed = np.zeros(count * width, dtype=np.uint8)
+    # each (label, vertex) pair is distinct, so adding the bits of one byte ORs them
+    np.add.at(packed, labels * width + (vertices >> 3), _BIT[vertices & 7])
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[i * width : (i + 1) * width], "little") for i in range(count)]
 
 
 def row_bits(rows: np.ndarray, n: int) -> np.ndarray:
@@ -219,16 +233,8 @@ class Graph:
 
 
 def _graph(n: int, ends: np.ndarray) -> Graph:
-    """The Graph on canonical `ends`, each adj int read off its bit row."""
-    width = 8 * ((n + 63) // 64)  # bytes per bit row
-    src, dst = ends.ravel(), ends[:, ::-1].ravel()
-    packed = np.zeros(n * width, dtype=np.uint8)
-    # each (src, dst) is distinct, so adding the bits of one byte ORs them
-    np.add.at(packed, src * width + (dst >> 3), _BIT[dst & 7])
-    buf = packed.tobytes()
-    step = width or 1  # buf is empty when n = 0, and range needs a nonzero step
-    adj = [int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), step)]
-    return Graph(n, ends, tuple(adj))
+    """The Graph on canonical `ends`: adj[u] holds v for each row (u, v) or (v, u)."""
+    return Graph(n, ends, tuple(label_masks(n, n, ends.ravel(), ends[:, ::-1].ravel())))
 
 
 def _canonical_ends(n: int, flat) -> np.ndarray:

@@ -7,7 +7,10 @@ guarantees on any graph:
 
   * local_search_cut:    crossing * k >= m * (k - 1)
   * coarsen_cut:         crossing * C(k,2) >= (C(k,2) - sum C(s_i,2)) * fine
-  * surplus_compose:     (crossing - sum inner) * l >= (l - 1) * (m - sum m_i)
+  * surplus_compose:     same * l <= between (the edges joining two pieces,
+    and those of them whose ends share a label), which is the share
+    (crossing - sum inner) * l >= (l - 1) * (m - sum m_i), as
+    m - sum m_i = between and crossing - sum inner = between - same
   * maxcut_dense_driver: 2 * crossing >= m always, and in the dense regime
     (k-partitioning deletes at most m/(2k) edges) the two-cut reaches
     m/2 + m/(4(k-1)), beating the plain local-search floor.
@@ -25,10 +28,10 @@ import numpy as np
 from ._rng import SplitMix64, derive_seed
 from .bounds import iroot
 from .errors import CapabilityError, InvariantViolation
-from .graphs import Graph, bits_list, edges_between, edges_inside, mask_of
+from .graphs import Graph, bit_rows, label_masks, mask_of, row_bits
 from .oddgirth import partition_odd_cycle_free
 from .oracle import min_internal_partition
-from .partition import VertexPartition, lift_blocks
+from .partition import VertexPartition
 
 _EXACT_CUT_LIMIT = 5 * 10**6
 _GROUPING_ENUM_LIMIT = 10**5
@@ -90,9 +93,9 @@ def max_k_cut_exact(G: Graph, k: int) -> CutResult:
     else:
         core, verts = G.induced(core_mask)
         internal, local = min_internal_partition(core, k)
-        blocks = lift_blocks(verts, local)
-        blocks[0] |= G.full_mask & ~core_mask
-        part = VertexPartition(G.n, tuple(blocks))
+        labels = np.zeros(G.n, dtype=np.int64)  # the isolated vertices in block 0
+        labels[list(verts)] = local.labels()
+        part = VertexPartition(G.n, tuple(label_masks(k, G.n, labels, np.arange(G.n))))
     return CutResult(
         partition=part,
         crossing=G.m - internal,
@@ -121,12 +124,10 @@ def local_search_cut(
     for _ in range(starts):
         labels = [v % k for v in range(n)]
         rng.shuffle(labels)
-        blocks = [0] * k
-        for v, lab in enumerate(labels):
-            blocks[lab] |= 1 << v
-        internal = sum(
-            (G.adj[v] & blocks[labels[v]]).bit_count() for v in range(n)
-        ) // 2
+        lab = np.array(labels, dtype=np.int64)
+        blocks = label_masks(k, n, lab, np.arange(n))
+        ends = lab[G.ends]
+        internal = int(np.count_nonzero(ends[:, 0] == ends[:, 1]))
         improved = True
         while improved:
             improved = False
@@ -306,12 +307,10 @@ def coarsen_cut(G: Graph, fine: VertexPartition, l: int) -> CutResult:
         first = int(scores.argmin())
         if scores[first] < _grouping_internal(w, groups):
             groups, method = _nth_grouping(k, sizes, first), "coarsen-exhaustive"
-    blocks = []
-    for g in groups:
-        m = 0
-        for a in g:
-            m |= fine.blocks[a]
-        blocks.append(m)
+    group_of = np.empty(k, dtype=np.int64)
+    for g, labels in enumerate(groups):
+        group_of[labels] = g
+    blocks = label_masks(l, G.n, group_of[fine.labels()], np.arange(G.n))
     part = VertexPartition(G.n, tuple(blocks))
     crossing = part.crossing_count(G)
     if crossing < d_l_complete(l, k) * fine_crossing:
@@ -397,12 +396,17 @@ def surplus_compose(
 ) -> CutResult:
     """Stitch per-piece l-cuts into one l-cut of G, aligning each piece's
     labels by the permutation that maximizes crossing edges to the vertices
-    already placed (all l! permutations are tried; the first piece keeps its
-    labels).
+    already placed: the first of the l! permutations with the fewest of
+    those edges inside a label, so a piece with none keeps its labels.  Each
+    vertex has a piece id and a label, its block in its piece until the
+    piece is aligned; the alignment matrix is one bincount of (piece label,
+    placed label) over the piece's edges to the pieces before it.
 
-    Averaging over permutations shows the best one crosses at least a
-    (1 - 1/l) fraction of the edges between the piece and the placed part,
-    so crossing >= sum_i crossing_i + (1 - 1/l)(m - sum_i m_i), checked
+    Averaging over permutations, the best one leaves at most a 1/l share of
+    those edges inside, so same * l <= between, where between counts the
+    edges joining two pieces and same those whose ends share a label.  As
+    m - sum_i m_i = between and crossing - sum_i crossing_i = between - same,
+    that is crossing >= sum_i crossing_i + (1 - 1/l)(m - sum_i m_i), checked
     exactly.
     """
     if l < 1:
@@ -421,42 +425,46 @@ def surplus_compose(
         union |= mask
     if union != G.full_mask:
         raise ValueError("pieces must cover every vertex")
-    totals = [0] * l
-    inner_crossing = 0
-    inner_edges = 0
     for mask, part in zip(pieces, parts):
         if part.k != l:
             raise ValueError("every piece needs exactly l blocks")
-        verts = bits_list(mask)
-        lifted = lift_blocks(verts, part)
-        piece_edges = edges_inside(G, mask)
-        inner_edges += piece_edges
-        inner_crossing += piece_edges - sum(edges_inside(G, b) for b in lifted)
-        if not any(totals):  # nothing placed yet: keep this piece's labels
-            totals = lifted
-            continue
-        match = [
-            [edges_between(G, lb, tb) for tb in totals] for lb in lifted
-        ]
-        best_perm = min(
-            permutations(range(l)),
-            key=lambda perm: sum(match[j][perm[j]] for j in range(l)),
-        )
-        for j, target in enumerate(best_perm):
-            totals[target] |= lifted[j]
-    part = VertexPartition(G.n, tuple(totals))
-    crossing = part.crossing_count(G)
-    if (crossing - inner_crossing) * l < (l - 1) * (G.m - inner_edges):
+        if part.n != mask.bit_count():
+            raise ValueError("partition size does not match the vertex list")
+    piece, verts = row_bits(bit_rows(pieces, G.n), G.n).nonzero()
+    piece_of = np.empty(G.n, dtype=np.int64)
+    piece_of[verts] = piece
+    label = np.empty(G.n, dtype=np.int64)
+    for i, part in enumerate(parts):
+        label[verts[piece == i]] = part.labels()
+    ends_piece = piece_of[G.ends]
+    within = ends_piece[:, 0] == ends_piece[:, 1]
+    # the edges between pieces in both directions, as (u, v)
+    u, v = np.concatenate((G.ends[~within], G.ends[~within, ::-1])).T
+    for i in range(1, len(pieces)):
+        near = (piece_of[u] == i) & (piece_of[v] < i)
+        align = np.bincount(l * label[u[near]] + label[v[near]], minlength=l * l)
+        if align.any():
+            perms = np.array(list(permutations(range(l))))
+            perm = perms[align.reshape(l, l)[np.arange(l), perms].sum(axis=1).argmin()]
+            mine = verts[piece == i]
+            label[mine] = perm[label[mine]]
+    ends_label = label[G.ends]
+    shared = ends_label[:, 0] == ends_label[:, 1]
+    between = G.m - int(np.count_nonzero(within))
+    same = int(np.count_nonzero(shared & ~within))
+    if same * l > between:
         raise InvariantViolation("label alignment fell below the (1-1/l) share")
+    crossing = G.m - int(np.count_nonzero(shared))
+    blocks = label_masks(l, G.n, label, np.arange(G.n))
     return CutResult(
-        partition=part,
+        partition=VertexPartition(G.n, tuple(blocks)),
         crossing=crossing,
         method="surplus-compose",
         meta={
             "l": l,
             "pieces": len(pieces),
-            "inner_crossing": inner_crossing,
-            "inner_edges": inner_edges,
+            "inner_crossing": crossing - between + same,
+            "inner_edges": G.m - between,
         },
     )
 
@@ -547,11 +555,7 @@ def maxcut_odd_cycle_free(G: Graph, r: int, seed: int = 0) -> CutResult:
     n, m = G.n, G.m
     if m == 0:
         return _no_edge_cut(G)
-    core = 0
-    msq = m * m
-    for v in range(n):
-        if G.degree(v) ** (r + 4) >= msq:
-            core |= 1 << v
+    core = mask_of(v for v in range(n) if G.degree(v) ** (r + 4) >= m * m)
     Hc, _ = G.induced(core)
     greedy2 = local_search_cut(G, 2, seed=seed)
     if 2 * Hc.m >= m:

@@ -8,8 +8,9 @@ builders shared by all of them:
 * greedy_complete   -- extend seed blocks over the remaining vertices; the
                        completion adds at most (m - e(G[union of seeds])) / k
                        internal edges
-* compose_partition -- lift per-piece partitions into seed blocks and finish
-                       with greedy_complete
+* compose_partition -- seed blocks from each piece's labels, offset past the
+                       blocks of the pieces before it (graphs.label_masks),
+                       finished with greedy_complete
 * balanced_partition -- greedy from empty seeds; internal edges <= m/k
 """
 
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .graphs import Graph, bit_rows, bits_list, iter_bits, row_bits
+from .graphs import Graph, bit_rows, label_masks, row_bits
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,6 @@ class VertexPartition:
     def k(self) -> int:
         return len(self.blocks)
 
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(b.bit_count() for b in self.blocks)
-
     def labels(self) -> np.ndarray:
         """Each vertex's block index, an int64 array read off the blocks' bit
         rows.  Only their nonzero words are unpacked, at most n of them, so
@@ -68,10 +66,6 @@ class VertexPartition:
             raise ValueError("graph size does not match partition")
         lookup = self.labels()
         return lookup[G.ends[:, 0]] == lookup[G.ends[:, 1]]
-
-    def internal_edges(self, G: Graph) -> tuple[tuple[int, int], ...]:
-        lo, hi = G.ends[self._inside(G)].T.tolist()
-        return tuple(zip(lo, hi))
 
     def internal_count(self, G: Graph) -> int:
         return int(np.count_nonzero(self._inside(G)))
@@ -191,19 +185,6 @@ def greedy_complete(
     return VertexPartition(G.n, tuple(blocks)), added
 
 
-def lift_blocks(verts: Sequence[int], local: VertexPartition) -> list[int]:
-    """Translate a partition of an induced subgraph back to global masks."""
-    if local.n != len(verts):
-        raise ValueError("partition size does not match the vertex list")
-    out = []
-    for b in local.blocks:
-        g = 0
-        for i in iter_bits(b):
-            g |= 1 << verts[i]
-        out.append(g)
-    return out
-
-
 def compose_partition(
     G: Graph,
     outer_sets: Sequence[int],
@@ -222,13 +203,18 @@ def compose_partition(
         raise ValueError("outer sets and inner partitions are misaligned")
     if not outer_sets:
         raise ValueError("need at least one piece")
-    seeds: list[int] = []
     taken = 0
+    labels, count = [], 0  # each piece's labels, past the blocks before it
     for mask, part in zip(outer_sets, inner_parts):
         if mask & taken:
             raise ValueError("outer sets must be disjoint")
+        if part.n != mask.bit_count():
+            raise ValueError("partition size does not match the vertex list")
         taken |= mask
-        seeds.extend(lift_blocks(bits_list(mask), part))
+        labels.append(part.labels() + count)
+        count += part.k
+    _, verts = row_bits(bit_rows(outer_sets, G.n), G.n).nonzero()
+    seeds = label_masks(count, G.n, np.concatenate(labels), verts)
     return greedy_complete(G, seeds, k=k)
 
 

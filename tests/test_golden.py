@@ -15,7 +15,7 @@ import pytest
 from kdelete import constructions as cons
 from kdelete.cli import main
 from kdelete.corpus import kneser, windmill
-from kdelete.graphs import format_edge_list
+from kdelete.graphs import build_graph, format_edge_list
 
 INPUTS = {
     "petersen": cons.petersen(),
@@ -30,6 +30,9 @@ INPUTS = {
     "c7x8": cons.blow_up(cons.cycle(7), 8),
     "random10": cons.random_graph(10, 0.5, seed=3),
     "kneser11_5": kneser(11, 5),
+    # K_{20,20} and a C_9 joined by the edge (0, 40)
+    "k2020c9": build_graph(49, cons.disjoint_union(
+        [cons.complete_bipartite(20, 20), cons.cycle(9)]).edges + ((0, 40),)),
 }
 
 # (graph on stdin or None, argv, sha256 of stdout)
@@ -119,6 +122,11 @@ PINS = [
     # The odd-girth precondition on the odd graph O6, of odd girth 11.
     ("kneser11_5", "partition --method oddgirth --k 2 --r 4 --verify-preconditions",
      "ae84302b26e9125b46b262ba493c514f9d0a72b0441e716e2015796754913004"),
+    # A dense-core stitch with a nonempty rest: the 40-vertex core holds 400
+    # of the 410 edges, the C_9 is cut by local search, and the alignment
+    # against the core's cut takes the stitched cut to 409.
+    ("k2020c9", "maxcut --method driver --r 1",
+     "8ea124476bcc873626644af5b00f6d0f952804303829b6b807f0a15401185650"),
 ]
 
 

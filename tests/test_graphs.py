@@ -30,6 +30,7 @@ from kdelete.graphs import (
     find_cycle_of_length,
     format_edge_list,
     iter_bits,
+    label_masks,
     mask_of,
     neighborhood,
     odd_girth,
@@ -397,7 +398,7 @@ def test_find_cycle_matches_reference_up_to_8_vertices(G, length):
 def test_bitmask_primitives_match_set_reference():
     # Every labelled graph on up to 5 vertices (1,099 of them), each
     # primitive against plain adjacency sets; the vertex masks double as
-    # the allowed masks of bfs_layers.
+    # the allowed masks of bfs_layers and as the vertices of label_masks.
     count = 0
     for n in range(1, 6):
         for G in enumerate_graphs(n):
@@ -436,7 +437,22 @@ def test_bitmask_primitives_match_set_reference():
                     layers = list(islice(bfs_layers(G.adj, start, vmask), n + 1))
                     assert [set(bits_list(x)) for x in layers] == _ref_bfs_layers(
                         nbrs, bits_list(start), set(verts)), (G.edges, start, vmask)
+                # each vertex labelled by its degree, into n + 1 masks of
+                # which some stay empty; vmask = 0 gives empty int64 arrays
+                degrees = np.array([len(nbrs[v]) for v in verts], dtype=np.int64)
+                got = label_masks(n + 1, n, degrees, np.array(verts, dtype=np.int64))
+                assert got == [mask_of(v for v in verts if len(nbrs[v]) == d)
+                               for d in range(n + 1)], (G.edges, vmask)
     assert count == 1099
+    # n = 0 still gives count masks; rows past one word, n not a multiple of 64
+    none = np.zeros(0, dtype=np.int64)
+    assert label_masks(3, 0, none, none) == [0, 0, 0]
+    assert label_masks(2, 130, none, none) == [0, 0]
+    for n in (65, 130):
+        verts = np.arange(n - 1, -1, -3)
+        labels = verts % 4  # mask 4 stays empty
+        want = [mask_of(v for v in verts.tolist() if v % 4 == i) for i in range(5)]
+        assert label_masks(5, n, labels, verts) == want and want[4] == 0
 
 
 def _reference_build_graph(n, edge_list):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from kdelete import constructions as cons
 from kdelete.constructions import random_graph
 from kdelete.errors import CapabilityError, InvariantViolation
-from kdelete.graphs import build_graph, mask_of
+from kdelete.graphs import bits_list, build_graph, edges_between, edges_inside, iter_bits, mask_of
 from kdelete import maxcut
 from kdelete.maxcut import (
+    _COMPOSE_LABEL_LIMIT,
     CutResult,
     _ce_grouping,
     _grouping_count,
@@ -29,7 +30,7 @@ from kdelete.maxcut import (
     surplus_compose,
 )
 from kdelete.oracle import exact_h, min_internal_partition
-from kdelete.partition import VertexPartition
+from kdelete.partition import VertexPartition, compose_partition
 
 small_graph = st.builds(
     random_graph,
@@ -347,6 +348,129 @@ def test_surplus_compose_refuses_large_l(petersen):
     parts = [VertexPartition(10, tuple([petersen.full_mask] + [0] * 8))]
     with pytest.raises(CapabilityError):
         surplus_compose(petersen, [petersen.full_mask], parts, 9)
+
+
+def _reference_lift_blocks(verts, local: VertexPartition) -> list[int]:
+    """partition.lift_blocks before the label arrays, verbatim but for its
+    name: a test-only reference for the stitch below."""
+    if local.n != len(verts):
+        raise ValueError("partition size does not match the vertex list")
+    out = []
+    for b in local.blocks:
+        g = 0
+        for i in iter_bits(b):
+            g |= 1 << verts[i]
+        out.append(g)
+    return out
+
+
+def _reference_surplus_compose(
+    G,
+    pieces: list[int],
+    parts: list[VertexPartition],
+    l: int,
+) -> CutResult:
+    """surplus_compose before the label arrays, verbatim but for its name
+    and lift_blocks': a test-only reference for the differential test."""
+    if l < 1:
+        raise ValueError("l must be positive")
+    if l > _COMPOSE_LABEL_LIMIT:
+        raise CapabilityError(
+            f"label alignment enumerates l! permutations; needs l <= "
+            f"{_COMPOSE_LABEL_LIMIT}"
+        )
+    if len(pieces) != len(parts):
+        raise ValueError("pieces and parts are misaligned")
+    union = 0
+    for mask in pieces:
+        if mask & union:
+            raise ValueError("pieces overlap")
+        union |= mask
+    if union != G.full_mask:
+        raise ValueError("pieces must cover every vertex")
+    totals = [0] * l
+    inner_crossing = 0
+    inner_edges = 0
+    for mask, part in zip(pieces, parts):
+        if part.k != l:
+            raise ValueError("every piece needs exactly l blocks")
+        verts = bits_list(mask)
+        lifted = _reference_lift_blocks(verts, part)
+        piece_edges = edges_inside(G, mask)
+        inner_edges += piece_edges
+        inner_crossing += piece_edges - sum(edges_inside(G, b) for b in lifted)
+        if not any(totals):  # nothing placed yet: keep this piece's labels
+            totals = lifted
+            continue
+        match = [
+            [edges_between(G, lb, tb) for tb in totals] for lb in lifted
+        ]
+        best_perm = min(
+            permutations(range(l)),
+            key=lambda perm: sum(match[j][perm[j]] for j in range(l)),
+        )
+        for j, target in enumerate(best_perm):
+            totals[target] |= lifted[j]
+    part = VertexPartition(G.n, tuple(totals))
+    crossing = part.crossing_count(G)
+    if (crossing - inner_crossing) * l < (l - 1) * (G.m - inner_edges):
+        raise InvariantViolation("label alignment fell below the (1-1/l) share")
+    return CutResult(
+        partition=part,
+        crossing=crossing,
+        method="surplus-compose",
+        meta={
+            "l": l,
+            "pieces": len(pieces),
+            "inner_crossing": inner_crossing,
+            "inner_edges": inner_edges,
+        },
+    )
+
+
+def _random_pieces(rng, n, count, l):
+    """count disjoint pieces covering 0..n-1, a few of them empty, each with
+    a uniform l-labelling of its vertices (which leaves some blocks empty)."""
+    used = rng.sample(range(count), rng.randint(1, count))
+    owner = [rng.choice(used) for _ in range(n)]
+    pieces = [mask_of(v for v in range(n) if owner[v] == i) for i in range(count)]
+    parts = []
+    for mask in pieces:
+        blocks = [0] * l
+        for j in range(mask.bit_count()):
+            blocks[rng.randrange(l)] |= 1 << j
+        parts.append(VertexPartition(mask.bit_count(), tuple(blocks)))
+    return pieces, parts
+
+
+def test_surplus_compose_matches_reference():
+    # 1-4 pieces (some empty), l = 1-4, random graphs dense enough that the
+    # pieces share edges and permutations tie; the blocks, crossing, method
+    # and meta must all be the reference's.
+    rng = random.Random(24)
+    aligned = 0
+    for case in range(600):
+        n = rng.randint(0, 16)
+        G = random_graph(n, rng.choice([0.2, 0.5, 0.9]), seed=case)
+        pieces, parts = _random_pieces(rng, n, rng.randint(1, 4), rng.randint(1, 4))
+        l = parts[0].k
+        got = surplus_compose(G, pieces, parts, l).validate(G)
+        want = _reference_surplus_compose(G, pieces, parts, l)
+        assert (got.partition, got.crossing, got.method, got.meta) == (
+            want.partition, want.crossing, want.method, want.meta), case
+        aligned += got.meta["inner_edges"] < G.m
+    assert aligned > 150  # a third of the cases align against edges between pieces
+
+
+def test_piece_partitions_of_the_wrong_size_are_refused(petersen):
+    pieces = [mask_of(range(5)), mask_of(range(5, 10))]
+    parts = [VertexPartition(5, (0b11, 0b11100)), VertexPartition(4, (0b11, 0b1100))]
+    message = "partition size does not match the vertex list"
+    for stitch in (surplus_compose, _reference_surplus_compose):
+        with pytest.raises(ValueError, match=message):
+            stitch(petersen, pieces, parts, 2)
+    with pytest.raises(ValueError, match=message):
+        compose_partition(petersen, pieces, parts, k=4)
 
 
 def test_cut_result_validate_catches_lies(petersen):

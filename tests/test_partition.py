@@ -12,7 +12,6 @@ from kdelete.partition import (
     balanced_partition,
     compose_partition,
     greedy_complete,
-    lift_blocks,
     trivial_distinct,
 )
 
@@ -26,8 +25,8 @@ random_instances = st.builds(
 
 def test_partition_invariants():
     p = VertexPartition(4, (0b0011, 0b1100))
-    assert p.k == 2 and p.sizes() == (2, 2)
-    assert p.assignment() == [0, 0, 1, 1]
+    assert p.k == 2 and p.blocks == (0b0011, 0b1100)
+    assert p.labels().tolist() == p.assignment() == [0, 0, 1, 1]
     with pytest.raises(InvariantViolation):
         VertexPartition(4, (0b0011, 0b0110))  # overlap
     with pytest.raises(InvariantViolation):
@@ -42,14 +41,14 @@ def test_edge_array_counts_match_per_edge_loops(G, k, parsed, rnd):
     for v in range(G.n):
         blocks[rnd.randrange(k)] |= 1 << v
     part = VertexPartition(G.n, tuple(blocks))
-    label = part.assignment()
+    label = [next(i for i, b in enumerate(blocks) if b >> v & 1) for v in range(G.n)]
+    assert part.labels().tolist() == label
     inside = tuple((u, v) for u, v in G.edges if label[u] == label[v])
     weights = [[0] * k for _ in range(k)]
     for u, v in G.edges:
         if label[u] != label[v]:
             weights[label[u]][label[v]] += 1
             weights[label[v]][label[u]] += 1
-    assert part.internal_edges(G) == inside
     assert part.internal_count(G) == len(inside)
     assert part.crossing_count(G) == G.m - len(inside)
     assert _pair_weights(G, part).tolist() == weights
@@ -58,7 +57,7 @@ def test_edge_array_counts_match_per_edge_loops(G, k, parsed, rnd):
 def test_counts_refuse_a_graph_of_another_size():
     part = VertexPartition(4, (0b0011, 0b1100))
     G = cons.cycle(3)
-    for count in (part.internal_edges, part.internal_count, part.crossing_count):
+    for count in (part.internal_count, part.crossing_count):
         with pytest.raises(ValueError, match="graph size does not match partition"):
             count(G)
 
@@ -66,12 +65,14 @@ def test_counts_refuse_a_graph_of_another_size():
 def test_counting_against_each_other(petersen):
     p = VertexPartition(10, (mask_of(range(5)), mask_of(range(5, 10))))
     assert p.internal_count(petersen) + p.crossing_count(petersen) == petersen.m
-    assert len(p.internal_edges(petersen)) == p.internal_count(petersen)
+    label = p.labels()
+    inside = [(u, v) for u, v in petersen.edges if label[u] == label[v]]
+    assert len(inside) == p.internal_count(petersen)
 
 
 def test_trivial_distinct():
     p = trivial_distinct(3, 5)
-    assert p.k == 5 and p.sizes() == (1, 1, 1, 0, 0)
+    assert p.k == 5 and p.blocks == (0b001, 0b010, 0b100, 0, 0)
 
 
 @given(random_instances, st.integers(1, 6))
@@ -103,16 +104,10 @@ def test_balanced_partition_bound(G, k):
     assert deleted * 2 * k <= G.n**2
 
 
-def test_lift_blocks_roundtrip():
-    local = VertexPartition(3, (0b001, 0b110))
-    lifted = lift_blocks([4, 7, 9], local)
-    assert lifted == [1 << 4, (1 << 7) | (1 << 9)]
-
-
 def test_compose_partition_counts(petersen):
-    # two disjoint pieces, inner partitions, composed to k=4
-    outer = mask_of(range(5))
-    inner = mask_of(range(5, 10))
+    # two interleaved pieces, inner partitions, composed to k=4
+    outer = mask_of(range(0, 10, 2))
+    inner = mask_of(range(1, 10, 2))
     p_outer = VertexPartition(5, (0b00011, 0b11100))
     p_inner = VertexPartition(5, (0b00111, 0b11000))
     part, added = compose_partition(
@@ -120,6 +115,9 @@ def test_compose_partition_counts(petersen):
     )
     assert part.k == 4
     assert part.internal_count(petersen) >= added  # inner blocks add their own
+    # local vertex i of a piece is its i-th lowest vertex
+    assert part.blocks == tuple(map(mask_of, ([0, 2], [4, 6, 8], [1, 3, 5], [7, 9])))
+    assert added == 0
 
 
 def test_greedy_complete_prefers_light_blocks():
