@@ -22,8 +22,8 @@ common_neighbours ANDs the rows of each edge's ends to count the neighbours
 they share.
 
 bfs_layers is the one breadth-first walk: it yields the layers of a search
-from a start mask inside an allowed mask, and the component split, the peel
-and the cycle search's distance prune all read their layers off it.
+from a start mask inside an allowed mask, and the odd-girth peel and the
+cycle search's distance prune read their layers off it.
 
 The text interchange format is a header line "n m" followed by m lines "u v",
 one edge per line; '#' starts a comment.  parse_edge_list reads it with numpy

@@ -560,15 +560,13 @@ def maxcut_odd_cycle_free(G: Graph, r: int, seed: int = 0) -> CutResult:
     greedy2 = local_search_cut(G, 2, seed=seed)
     if 2 * Hc.m >= m:
         rest = G.full_mask & ~core
-        Hr, _ = G.induced(rest)
-        if Hc is G:  # the driver's local-search cut is greedy2 itself
+        if Hc is G:  # the driver's local-search cut is greedy2 itself, and rest is empty
             core_cut = _dense_driver(G, r, greedy2)
+            rest_part = VertexPartition(0, (0, 0))
         else:
             core_cut = maxcut_dense_driver(Hc, r, seed=seed)
-        rest_cut = local_search_cut(Hr, 2, seed=seed)
-        stitched = surplus_compose(
-            G, [core, rest], [core_cut.partition, rest_cut.partition], 2
-        )
+            rest_part = local_search_cut(G.induced(rest)[0], 2, seed=seed).partition
+        stitched = surplus_compose(G, [core, rest], [core_cut.partition, rest_part], 2)
         best = stitched if stitched.crossing >= greedy2.crossing else greedy2
         method = f"core/{best.method}"
         meta = {

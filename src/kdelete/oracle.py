@@ -5,13 +5,18 @@ problem by branch and bound over canonical assignments (vertex 0 pinned to
 block 0, a new block index only once all earlier ones appear), pruned by a
 lower bound kept up to date as vertices are assigned and undone.  The search
 keeps its own stack, so its depth is bounded by memory, not by the
-interpreter's recursion limit.  exact_h, which reports only the value, solves
-each connected component on its own, over its false-twin classes.  False
-twins u, v have N(u) = N(v), so they are non-adjacent, and with every other
-vertex placed the deletion count is linear in each one's block: moving one
-into the other's block never costs more.  Some optimal partition therefore
-keeps each class together (Zykov symmetrization), and the search assigns
-classes whole, largest degree first; h(G[t], k) = t^2 h(G, k) follows by the
+interpreter's recursion limit.  exact_h, which reports only the value, works
+in this order: k-core, blocks, closed form, twin classes, search.  It peels
+G to its k-core (a vertex of degree < k always has a colour free) and splits
+the core into its blocks, over which h is additive.  A block of at most k
+vertices costs 0, and one of maximum degree at most k is answered in closed
+form by Brooks' theorem: 1 if it is K_{k+1} or, at k = 2, an odd cycle, else
+0.  Every other block is searched over its false-twin classes.  False twins
+u, v have N(u) = N(v), so they are non-adjacent, and with every other vertex
+placed the deletion count is linear in each one's block: moving one into the
+other's block never costs more.  Some optimal partition therefore keeps each
+class together (Zykov symmetrization), and the search assigns classes whole,
+largest degree first; h(G[t], k) = t^2 h(G, k) follows by the
 same argument.  True twins (adjacent, equal closed neighbourhoods) are never
 merged, since the edge between them breaks the linearity.  exact_h_plain
 re-solves the problem by unpruned enumeration for cross-checks.  The search is
@@ -34,7 +39,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, CapabilityError
-from .graphs import Graph, _graph, bfs_layers, edges_inside
+from .graphs import Graph, _graph, edges_inside, iter_bits
 from .partition import VertexPartition, greedy_complete, trivial_distinct
 
 DEFAULT_BUDGET = 10**7
@@ -280,25 +285,117 @@ def twin_classes(G: Graph) -> list[int]:
     return [masks[r] for r in order]
 
 
+def _k_core(adj: Sequence[int], k: int) -> int:
+    """Mask of the k-core: vertices of degree < k dropped, repeatedly, until
+    none is left.  Each vertex enters the drop list once, when its degree
+    first falls below k."""
+    deg = [a.bit_count() for a in adj]
+    drop = [v for v, d in enumerate(deg) if d < k]
+    core = (1 << len(adj)) - 1
+    while drop:
+        v = drop.pop()
+        core ^= 1 << v
+        for u in iter_bits(adj[v] & core):
+            deg[u] -= 1
+            if deg[u] == k - 1:
+                drop.append(u)
+    return core
+
+
+def _blocks(adj: Sequence[int], alive: int) -> Iterator[int]:
+    """Vertex masks of the blocks (2-connected pieces and bridges) of the
+    graph induced on alive, by one depth-first search on an explicit stack
+    (Hopcroft and Tarjan); isolated vertices lie in no block.
+
+    Per depth d the stack keeps path[d], before[d] (the vertices seen
+    before path[d] was reached) and reach[d] (the neighbours of the part of
+    path[d]'s subtree explored so far).  Edges of an undirected DFS tree join a vertex
+    only to its ancestors and descendants, so when a child v of p finishes,
+    v's subtree has an edge above p exactly when its reach meets the
+    vertices seen before p.  If it has none, p cuts off a block: p and
+    v's subtree, less the blocks already cut off below (pending holds the
+    vertices seen and not yet in a block).
+    """
+    left = alive
+    while left:
+        root = left & -left
+        left ^= root
+        seen = pending = root
+        path = [root.bit_length() - 1]
+        before = [0]
+        reach = [adj[path[0]]]
+        while True:
+            nxt = adj[path[-1]] & left
+            if nxt:  # step down to the least unseen neighbour
+                bit = nxt & -nxt
+                left ^= bit
+                before.append(seen)
+                seen |= bit
+                pending |= bit
+                w = bit.bit_length() - 1
+                path.append(w)
+                reach.append(adj[w])
+                continue
+            path.pop()
+            mark = before.pop()
+            up = reach.pop()
+            if not path:
+                break
+            if up & before[-1]:
+                reach[-1] |= up
+            else:
+                body = pending & ~mark  # v's subtree less the blocks below it
+                pending ^= body
+                yield body | 1 << path[-1]
+
+
+def _brooks(adj: Sequence[int], block: int, k: int) -> Optional[int]:
+    """h(B, k) of a block B whose maximum degree is at most k, else None.
+
+    By Brooks' theorem such a connected graph is k-colourable unless it is
+    K_{k+1} or, at k = 2, an odd cycle; either of those becomes k-colourable
+    with one edge deleted.  Those are the blocks with every degree equal to k
+    and k + 1 vertices or, at k = 2, an odd number of them (a 2-connected
+    2-regular graph is a cycle).  A block of at most k vertices, a bridge
+    at k >= 2 among them, has every degree below k and costs 0.
+    """
+    size = block.bit_count()
+    twice = 0
+    for u in iter_bits(block):
+        d = (adj[u] & block).bit_count()
+        if d > k:
+            return None
+        twice += d
+    return int(twice == size * k and (size == k + 1 or k == 2 and size % 2 == 1))
+
+
 def exact_h(G: Graph, k: int, budget: Optional[int] = None) -> int:
     """Minimum number of edge deletions making G k-colorable.
 
-    h is additive over connected components, so each component is searched
-    on its own and the values summed; the components share one node budget.
-    Each component is searched over its false-twin classes (twin_classes):
-    some optimal partition keeps every class in one block, so the search
-    assigns classes whole, largest degree first, and the search on a
-    blow-up G[t] has as many classes to place as the one on G.
+    Four exact steps.  (1) Peel to the k-core: a vertex of degree < k takes
+    a colour missing among its neighbours, so h(G, k) = h(G - v, k).
+    (2) Split the core into its blocks: every edge lies in exactly one, and
+    colourings of the blocks glue at the cut vertices once one block's
+    colours are permuted to agree there, so h is the sum over the blocks.
+    (3) A block of maximum degree at most k, which takes in every block of
+    at most k vertices, is answered by Brooks' theorem (_brooks).  (4) Every
+    other block is searched over its false-twin classes (twin_classes): some
+    optimal partition keeps every class in one block, so the search assigns
+    classes whole, largest degree first, and the search on a blow-up G[t]
+    has as many classes to place as the one on G.  The searches share one
+    node budget; the closed forms spend none.
     """
     if k < 1:
         raise ValueError("k must be positive")
     limit = _resolve_budget(budget)
     total = nodes = 0
-    left = G.full_mask
-    while left:
-        comp = sum(bfs_layers(G.adj, left & -left, left))  # disjoint layers: sum is OR
-        left &= ~comp
-        piece = G.induced(comp)[0]
+    adj = G.adj
+    for block in _blocks(adj, _k_core(adj, k)):
+        closed = _brooks(adj, block, k)
+        if closed is not None:
+            total += closed
+            continue
+        piece = G.induced(block)[0]
         cost, _, nodes = _branch_and_bound(piece, k, limit, nodes, twin_classes(piece))
         total += cost
     return total

@@ -10,6 +10,7 @@ import pytest
 from kdelete import cli
 from kdelete.cli import build_parser, main
 from kdelete.constructions import cycle, petersen
+from kdelete.corpus import windmill
 from kdelete.errors import EmptyWorkingSet, InvariantViolation
 from kdelete.graphs import MAX_VERTICES, format_edge_list
 from kdelete.oracle import exact_h
@@ -365,6 +366,15 @@ def test_oracle_answers_on_a_long_cycle(capsys, monkeypatch):
     assert out == "1\n"
     assert not [line for line in err.splitlines() if line.startswith("refused:")]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("quantity,expected", [("h", "300\n"), ("maxcut", "600\n")])
+def test_oracle_answers_on_a_windmill_of_300_blades(quantity, expected, capsys, tmp_path):
+    # Every blade is a triangle block, answered in closed form with no search.
+    el = tmp_path / "windmill.el"
+    el.write_text(format_edge_list(windmill(300)))
+    code, out, _ = run_cli(["oracle", quantity, "--k", "2", "--input", str(el)], capsys=capsys)
+    assert (code, out) == (0, expected)
 
 
 def test_vertex_cap_exit_code(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import strategies as st
 
 from kdelete import constructions as cons
 from kdelete.constructions import random_graph
-from kdelete.corpus import kneser, mycielski, random_n8_suite
+from kdelete.corpus import book, kneser, mycielski, random_n8_suite, windmill
 from kdelete.errors import BudgetExceeded, CapabilityError
-from kdelete.graphs import Graph, build_graph
+from kdelete.graphs import Graph, bfs_layers, build_graph
 from kdelete.oracle import (
     _branch_and_bound,
     canonical_code,
@@ -253,25 +254,37 @@ def test_exact_h_splits_components():
 
 
 def test_exact_h_components_share_one_budget():
-    c5 = cons.cycle(5)
-    one = _branch_and_bound(c5, 2, 10**7)[2]
+    # Petersen has maximum degree 3, so at k = 2 each copy is searched.
+    P = cons.petersen()
+    one = _branch_and_bound(P, 2, 10**7, 0, twin_classes(P))[2]
     assert one > 0
-    pair = cons.disjoint_union([c5, c5])
-    assert exact_h(pair, 2, budget=2 * one) == 2
+    pair = cons.disjoint_union([P, P])
+    assert exact_h(pair, 2, budget=2 * one) == 6
     with pytest.raises(BudgetExceeded):
         exact_h(pair, 2, budget=2 * one - 1)
     with pytest.raises(BudgetExceeded):
-        exact_h(c5, 2, budget=one - 1)
+        exact_h(P, 2, budget=one - 1)
 
 
 def _nested(depth, fn):
     return fn() if depth == 0 else _nested(depth - 1, fn)
 
 
+def _chorded_cycle(n):
+    """C_n plus the chord (0, n // 2): one block of maximum degree 3."""
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)])
+
+
 def test_exact_h_answers_under_a_deep_caller_stack():
     # How deep the caller's stack already is must not decide the answer.
-    G = cons.cycle(951)
-    assert _nested(200, lambda: exact_h(G, 2)) == 1
+    # C_951 is answered in closed form; the chord makes its one block a
+    # 951-vertex search, which the budget shows running in full.
+    assert _nested(200, lambda: exact_h(cons.cycle(951), 2)) == 1
+    G = _chorded_cycle(951)
+    one = _branch_and_bound(G, 2, 10**7, 0, twin_classes(G))[2]
+    assert _nested(200, lambda: exact_h(G, 2, budget=one)) == 1
+    with pytest.raises(BudgetExceeded):
+        _nested(200, lambda: exact_h(G, 2, budget=one - 1))
 
 
 @lru_cache(maxsize=None)
@@ -334,3 +347,83 @@ def test_exact_h_on_blow_ups_is_t_squared_times_h():
     assert exact_h(cons.blow_up(cons.cycle(5), 6), 3) == 0
     P = _paley(13)
     assert exact_h(cons.blow_up(P, 8), 3) == 64 * exact_h(P, 3) == 320
+
+
+def test_exact_h_matches_plain_enumeration_on_all_small_graphs():
+    for n in range(1, 6):
+        for G in _all_graphs(n):
+            for k in range(1, 5):
+                assert exact_h(G, k) == exact_h_plain(G, k), (G.edges, k)
+    for G in _all_graphs(6):
+        for k in (2, 3):
+            assert exact_h(G, k) == exact_h_plain(G, k), (G.edges, k)
+
+
+def _exact_h_by_components(G, k):
+    """exact_h without the core and block reductions: every connected
+    component searched whole over its twin classes."""
+    total = nodes = 0
+    left = G.full_mask
+    while left:
+        comp = sum(bfs_layers(G.adj, left & -left, left))  # disjoint layers: sum is OR
+        left &= ~comp
+        piece = G.induced(comp)[0]
+        cost, _, nodes = _branch_and_bound(piece, k, 10**7, nodes, twin_classes(piece))
+        total += cost
+    return total
+
+
+_GLUE_CAP = 14
+
+
+def _glued(seed):
+    """Small blocks (cliques, cycles, random pieces) each glued at one
+    vertex to what is built so far or started apart, then pendant trees,
+    all relabelled at random; at most _GLUE_CAP vertices."""
+    rng = random.Random(seed)
+    edges, n = [], 0
+    while True:
+        size = rng.randint(2, 5)
+        glue = n > 0 and rng.random() < 0.85
+        if n + size - glue > _GLUE_CAP - 2:
+            break
+        kind = rng.choice(("clique", "cycle", "random"))
+        if kind == "clique" or size < 3:
+            piece = [(a, b) for a in range(size) for b in range(a + 1, size)]
+        elif kind == "cycle":
+            piece = [(a, (a + 1) % size) for a in range(size)]
+        else:
+            piece = [(a, b) for a in range(size) for b in range(a + 1, size) if rng.random() < 0.6]
+        label = [rng.randrange(n)] if glue else []
+        label += range(n, n + size - len(label))
+        n += size - glue
+        edges += [(label[a], label[b]) for a, b in piece]
+    while n < _GLUE_CAP and rng.random() < 0.75:  # a pendant vertex
+        edges.append((rng.randrange(n), n))
+        n += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+def test_exact_h_on_glued_blocks_matches_the_whole_component_search():
+    for seed in range(150):
+        G = _glued(seed)
+        for k in (1, 2, 3):
+            assert exact_h(G, k) == _exact_h_by_components(G, k), (seed, k)
+
+
+def test_exact_h_closed_forms():
+    for t in (1, 2, 8, 14, 300):
+        assert exact_h(windmill(t), 2) == t
+    for t in (1, 2, 10, 300):
+        assert (exact_h(book(t), 2), exact_h(book(t), 3)) == (1, 0)
+    for n in [*range(3, 40), 1500, 1501]:
+        assert exact_h(cons.cycle(n), 2) == n % 2
+    for k in range(1, 5):
+        for count in range(1, 6):  # clique i on k*i .. k*i + k, sharing k*i
+            cliques = [
+                (k * i + a, k * i + b) for i in range(count)
+                for a in range(k + 1) for b in range(a + 1, k + 1)
+            ]
+            assert exact_h(build_graph(k * count + 1, cliques), k) == count
