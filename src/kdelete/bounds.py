@@ -32,16 +32,12 @@ def iroot(x: int, d: int) -> int:
         r = y
 
 
-def floor_fraction(fr: Fraction) -> int:
-    return fr.numerator // fr.denominator
-
-
 def floor_power_bound(coeff: Fraction, k: int, num: int, den: int) -> int:
     """floor(coeff / k**(num/den)) computed exactly."""
     target = coeff**den / Fraction(k) ** num
     if target < 0:
         raise ValueError("negative bound")
-    return iroot(floor_fraction(target), den)
+    return iroot(target.numerator // target.denominator, den)
 
 
 def sqrt_bound_holds(value: int, c: int, x: int) -> bool:

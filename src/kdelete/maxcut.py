@@ -28,10 +28,10 @@ import numpy as np
 from ._rng import SplitMix64, derive_seed
 from .bounds import iroot
 from .errors import CapabilityError, InvariantViolation
-from .graphs import Graph, bit_rows, label_masks, mask_of, row_bits
+from .graphs import Graph, label_masks, mask_of
 from .oddgirth import partition_odd_cycle_free
 from .oracle import min_internal_partition
-from .partition import VertexPartition
+from .partition import VertexPartition, lift_pieces
 
 _EXACT_CUT_LIMIT = 5 * 10**6
 _GROUPING_ENUM_LIMIT = 10**5
@@ -70,32 +70,22 @@ class CutResult:
 
 
 def max_k_cut_exact(G: Graph, k: int) -> CutResult:
-    """Provably maximum k-cut via the branch-and-bound deletion oracle.
+    """Provably maximum k-cut: min_internal_partition's optimal partition.
 
-    Only the first vertex's label is pinned, so the state space is k**(n-1);
-    isolated vertices cut nothing, so n counts the vertices of positive
-    degree, and inputs beyond 5e6 states are refused up front.  Where the
-    bound over all n vertices holds too, the search runs on G itself, so such
-    inputs keep their blocks; otherwise it runs on the positive-degree core,
-    and the isolated vertices join the first block.
+    Its search pins the first label and skips the vertices of degree 0,
+    which cut nothing and stay in block 0, so it has at most k**(n-1)
+    leaves for n the vertices of positive degree; inputs where that bound
+    passes 5e6 are refused up front.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    core_mask = mask_of(v for v, a in enumerate(G.adj) if a)
-    core_n = core_mask.bit_count()
+    core_n = sum(1 for a in G.adj if a)
     if k ** (core_n - 1) > _EXACT_CUT_LIMIT:
         raise CapabilityError(
             f"exact max-k-cut needs k**(n-1) <= {_EXACT_CUT_LIMIT}, "
             "n counting the vertices of positive degree"
         )
-    if k ** (G.n - 1) <= _EXACT_CUT_LIMIT:
-        internal, part = min_internal_partition(G, k)
-    else:
-        core, verts = G.induced(core_mask)
-        internal, local = min_internal_partition(core, k)
-        labels = np.zeros(G.n, dtype=np.int64)  # the isolated vertices in block 0
-        labels[list(verts)] = local.labels()
-        part = VertexPartition(G.n, tuple(label_masks(k, G.n, labels, np.arange(G.n))))
+    internal, part = min_internal_partition(G, k)
     return CutResult(
         partition=part,
         crossing=G.m - internal,
@@ -307,11 +297,8 @@ def coarsen_cut(G: Graph, fine: VertexPartition, l: int) -> CutResult:
         first = int(scores.argmin())
         if scores[first] < _grouping_internal(w, groups):
             groups, method = _nth_grouping(k, sizes, first), "coarsen-exhaustive"
-    group_of = np.empty(k, dtype=np.int64)
-    for g, labels in enumerate(groups):
-        group_of[labels] = g
-    blocks = label_masks(l, G.n, group_of[fine.labels()], np.arange(G.n))
-    part = VertexPartition(G.n, tuple(blocks))
+    # the fine blocks are disjoint, so a group's sum is their union
+    part = VertexPartition(G.n, tuple(sum(fine.blocks[i] for i in g) for g in groups))
     crossing = part.crossing_count(G)
     if crossing < d_l_complete(l, k) * fine_crossing:
         raise InvariantViolation("coarsening fell below the d_l(K_k) share")
@@ -397,10 +384,11 @@ def surplus_compose(
     """Stitch per-piece l-cuts into one l-cut of G, aligning each piece's
     labels by the permutation that maximizes crossing edges to the vertices
     already placed: the first of the l! permutations with the fewest of
-    those edges inside a label, so a piece with none keeps its labels.  Each
-    vertex has a piece id and a label, its block in its piece until the
-    piece is aligned; the alignment matrix is one bincount of (piece label,
-    placed label) over the piece's edges to the pieces before it.
+    those edges inside a label, so a piece with none keeps its labels.  The
+    pieces must cover G, and lift_pieces gives each vertex a piece id and a
+    label, its block in its piece until the piece is aligned; the alignment
+    matrix is one bincount of (piece label, placed label) over the piece's
+    edges to the pieces before it.
 
     Averaging over permutations, the best one leaves at most a 1/l share of
     those edges inside, so same * l <= between, where between counts the
@@ -416,26 +404,14 @@ def surplus_compose(
             f"label alignment enumerates l! permutations; needs l <= "
             f"{_COMPOSE_LABEL_LIMIT}"
         )
-    if len(pieces) != len(parts):
-        raise ValueError("pieces and parts are misaligned")
-    union = 0
-    for mask in pieces:
-        if mask & union:
-            raise ValueError("pieces overlap")
-        union |= mask
-    if union != G.full_mask:
+    piece, verts, label = lift_pieces(G, pieces, parts)
+    if len(verts) != G.n:
         raise ValueError("pieces must cover every vertex")
-    for mask, part in zip(pieces, parts):
-        if part.k != l:
-            raise ValueError("every piece needs exactly l blocks")
-        if part.n != mask.bit_count():
-            raise ValueError("partition size does not match the vertex list")
-    piece, verts = row_bits(bit_rows(pieces, G.n), G.n).nonzero()
+    if any(part.k != l for part in parts):
+        raise ValueError("every piece needs exactly l blocks")
     piece_of = np.empty(G.n, dtype=np.int64)
     piece_of[verts] = piece
-    label = np.empty(G.n, dtype=np.int64)
-    for i, part in enumerate(parts):
-        label[verts[piece == i]] = part.labels()
+    label = label[np.argsort(verts)]  # by vertex
     ends_piece = piece_of[G.ends]
     within = ends_piece[:, 0] == ends_piece[:, 1]
     # the edges between pieces in both directions, as (u, v)

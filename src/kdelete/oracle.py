@@ -1,11 +1,13 @@
 """Exact references the heuristics are audited against.
 
 min_internal_partition / exact_h solve the minimum-deletion k-partition
-problem by branch and bound over canonical assignments (vertex 0 pinned to
-block 0, a new block index only once all earlier ones appear), pruned by a
-lower bound kept up to date as vertices are assigned and undone.  The search
-keeps its own stack, so its depth is bounded by memory, not by the
-interpreter's recursion limit.  exact_h, which reports only the value, works
+problem by branch and bound over canonical assignments (the first vertex
+searched pinned to block 0, a new block index only once all earlier ones
+appear), pruned by a lower bound kept up to date as vertices are assigned
+and undone.  min_internal_partition searches the vertices of positive
+degree in index order and leaves those of degree 0, which add nothing to
+any count, in block 0.  The search keeps its own stack, so its depth is
+bounded by memory, not by the interpreter's recursion limit.  exact_h, which reports only the value, works
 in this order: k-core, blocks, closed form, twin classes, search.  It peels
 G to its k-core (a vertex of degree < k always has a colour free) and splits
 the core into its blocks, over which h is additive.  A block of at most k
@@ -69,16 +71,23 @@ def min_internal_partition(
     """Minimum internal-edge count over all k-block partitions, with an
     optimal partition realizing it.
 
-    Branch and bound: vertices are assigned in index order, each to an
-    existing block or the first unused one (so each partition is enumerated
-    exactly once), and the greedy completion seeds the incumbent.  A child
-    is pruned when cost + extra + rest >= best, where rest sums, over the
-    vertices u still unassigned, min_i |N(u) & B_i| for the blocks B_i
-    after the child's assignment.  Every edge counted in rest has exactly
-    one endpoint assigned, so no completion of the child costs less.  A
-    pruned subtree therefore holds no leaf strictly below the incumbent, the
-    incumbents arrive in the order the bound-free search finds them, and
-    the returned blocks are the ones that search returns.
+    Branch and bound: the vertices of positive degree are assigned in
+    index order, each to an existing block or the first unused one (so each
+    partition is enumerated exactly once), and the greedy completion seeds
+    the incumbent.  A child is pruned when cost + extra + rest >= best,
+    where rest sums, over the vertices u still unassigned, min_i |N(u) & B_i|
+    for the blocks B_i after the child's assignment.  Every edge counted in
+    rest has exactly one endpoint assigned, so no completion of the child
+    costs less.  A pruned subtree therefore holds no leaf strictly below the
+    incumbent, the incumbents arrive in the order the bound-free search
+    finds them, and the returned blocks are the ones that search returns.
+
+    The vertices of degree 0 stay in block 0, and the blocks are still
+    those of the bound-free search over every vertex: they add nothing to
+    any count, and a leaf that puts one elsewhere has an equal-cost leaf
+    that search meets first, with it moved to block 0 and the blocks
+    renumbered in order of first use.  So the search has at most k**(n-1)
+    leaves for n the vertices of positive degree.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -111,8 +120,11 @@ def _branch_and_bound(
     some optimal partition keeps every class together (Zykov), and the cost
     returned is h(G, k).  True twins (adjacent, with equal closed
     neighbourhoods) must not share a class, since the edge between them
-    breaks that linearity.  Without classes every vertex is its own class in
-    index order, and the returned blocks are min_internal_partition's.
+    breaks that linearity.  Without classes every vertex of positive degree
+    is its own class in index order, the vertices of degree 0 sit in block 0
+    throughout, and the returned blocks are min_internal_partition's.  Either
+    way the incumbent's count is the completion's added edges, as it starts
+    from empty seeds.
 
     State at depth v (classes before v assigned): used/cost/rest at v, the
     block class v holds (-1 before its first child), the tight masks to
@@ -132,14 +144,13 @@ def _branch_and_bound(
         return 0, (0,) * k, spent
     if k >= n:
         return 0, trivial_distinct(n, k).blocks, spent
-    part, _ = greedy_complete(G, [0] * k)
-    best_cost = part.internal_count(G)
+    part, best_cost = greedy_complete(G, [], k)
     best_blocks = part.blocks
     if best_cost == 0:
         return 0, best_blocks, spent
     adj = G.adj
     if classes is None:
-        classes = [1 << v for v in range(n)]
+        classes = [1 << v for v, a in enumerate(adj) if a]
     class_of = [0] * n  # representative (least vertex) -> its class
     after = 0
     spec = []  # per depth: the class, its size, representative and neighbours
@@ -151,8 +162,8 @@ def _branch_and_bound(
     for v in range(len(spec) - 1, -1, -1):
         later[v] = spec[v][3] & after
         after |= spec[v][0]
-    blocks = [0] * k
-    tight = [(1 << n) - 1] * k
+    blocks = [G.full_mask & ~after] + [0] * (k - 1)  # no class holds a degree-0 vertex
+    tight = [after] * k
     mn = [0] * n
     used_at = [0] * n
     cost_at = [0] * n

@@ -8,7 +8,9 @@ builders shared by all of them:
 * greedy_complete   -- extend seed blocks over the remaining vertices; the
                        completion adds at most (m - e(G[union of seeds])) / k
                        internal edges
-* compose_partition -- seed blocks from each piece's labels, offset past the
+* lift_pieces       -- each piece's vertices with their labels from the
+                       piece's own partition, as aligned arrays
+* compose_partition -- seed blocks from the lifted labels, offset past the
                        blocks of the pieces before it (graphs.label_masks),
                        finished with greedy_complete
 * balanced_partition -- greedy from empty seeds; internal edges <= m/k
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -139,29 +141,23 @@ def trivial_distinct(n: int, k: int) -> VertexPartition:
     return VertexPartition(n, tuple(1 << v for v in range(n)) + (0,) * (k - n))
 
 
-def greedy_complete(
-    G: Graph, seeds: Sequence[int], k: Optional[int] = None
-) -> tuple[VertexPartition, int]:
-    """Grow the seed blocks over the unassigned vertices, returning the
-    finished partition and the number of internal edges added on the way.
+def greedy_complete(G: Graph, seeds: Sequence[int], k: int) -> tuple[VertexPartition, int]:
+    """Grow the seed blocks, padded with empty ones to k, over the unassigned
+    vertices, returning the finished partition and the number of internal
+    edges added on the way.
 
     Vertices are placed in ascending index order into the block gaining the
     fewest internal edges (lowest block index on ties).  Each placement costs
-    at most the average over all K blocks, and summing those averages counts
+    at most the average over all k blocks, and summing those averages counts
     every edge outside G[union of seeds] at most once, so
 
-        added <= (m - e(G[union of seeds])) / K.
-
-    Pass k to pad the seed list with empty blocks first (a larger K only
-    strengthens the averaging).
+        added <= (m - e(G[union of seeds])) / k.
     """
-    blocks = list(seeds)
-    if k is not None:
-        if k < len(blocks):
-            raise ValueError("k smaller than the number of seed blocks")
-        blocks.extend([0] * (k - len(blocks)))
-    if not blocks:
+    if k < len(seeds):
+        raise ValueError("k smaller than the number of seed blocks")
+    if k < 1:
         raise ValueError("need at least one block")
+    blocks = list(seeds) + [0] * (k - len(seeds))
     taken = 0
     for b in blocks:
         if b & taken:
@@ -185,42 +181,49 @@ def greedy_complete(
     return VertexPartition(G.n, tuple(blocks)), added
 
 
-def compose_partition(
-    G: Graph,
-    outer_sets: Sequence[int],
-    inner_parts: Sequence[VertexPartition],
-    k: Optional[int] = None,
-) -> tuple[VertexPartition, int]:
-    """Lift per-set partitions into seed blocks and greedily complete.
-
-    outer_sets are disjoint vertex masks; inner_parts[i] partitions the
-    induced subgraph on outer_sets[i] (local indices, ascending vertex
-    order).  With s blocks per piece and t pieces, the completion adds at
-    most (m - e(G[union of the sets])) / (s*t) internal edges on top of
-    whatever the pieces already contain.
-    """
-    if len(outer_sets) != len(inner_parts):
-        raise ValueError("outer sets and inner partitions are misaligned")
-    if not outer_sets:
-        raise ValueError("need at least one piece")
+def lift_pieces(
+    G: Graph, pieces: Sequence[int], parts: Sequence[VertexPartition]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Aligned int64 arrays (piece, vertex, label) over the vertices of the
+    pieces, piece by piece and ascending within each: parts[i] partitions
+    the subgraph induced on pieces[i], a vertex mask, its local vertex j
+    being the piece's j-th lowest vertex.  The pieces must be disjoint and
+    each partition the size of its piece."""
+    if len(pieces) != len(parts):
+        raise ValueError("pieces and parts are misaligned")
     taken = 0
-    labels, count = [], 0  # each piece's labels, past the blocks before it
-    for mask, part in zip(outer_sets, inner_parts):
+    for mask, part in zip(pieces, parts):
         if mask & taken:
-            raise ValueError("outer sets must be disjoint")
+            raise ValueError("pieces overlap")
         if part.n != mask.bit_count():
             raise ValueError("partition size does not match the vertex list")
         taken |= mask
-        labels.append(part.labels() + count)
-        count += part.k
-    _, verts = row_bits(bit_rows(outer_sets, G.n), G.n).nonzero()
-    seeds = label_masks(count, G.n, np.concatenate(labels), verts)
-    return greedy_complete(G, seeds, k=k)
+    if taken >> G.n:
+        raise ValueError("pieces must lie inside the vertex set")
+    piece, verts = row_bits(bit_rows(pieces, G.n), G.n).nonzero()
+    labels = np.concatenate([np.zeros(0, np.int64), *(part.labels() for part in parts)])
+    return piece, verts, labels
+
+
+def compose_partition(
+    G: Graph, pieces: Sequence[int], parts: Sequence[VertexPartition], k: int
+) -> tuple[VertexPartition, int]:
+    """Lift per-piece partitions into seed blocks and greedily complete to k.
+
+    pieces and parts are as in lift_pieces; each piece's labels are offset
+    past the blocks of the pieces before it.  With s blocks per piece and t
+    pieces, the completion adds at most (m - e(G[union of the pieces])) /
+    (s*t) internal edges on top of whatever the pieces already contain.
+    """
+    piece, verts, label = lift_pieces(G, pieces, parts)
+    offset = np.cumsum([0] + [part.k for part in parts])
+    seeds = label_masks(int(offset[-1]), G.n, offset[piece] + label, verts)
+    return greedy_complete(G, seeds, k)
 
 
 def balanced_partition(G: Graph, k: int) -> tuple[VertexPartition, int]:
     """Greedy completion from k empty seeds: internal edges <= m/k."""
-    part, added = greedy_complete(G, [0] * k)
+    part, added = greedy_complete(G, [], k)
     if added * k > G.m:
         raise InvariantViolation("balanced partition exceeded the m/k guarantee")
     return part, added

@@ -10,7 +10,6 @@ from kdelete.bounds import (
     E_LOWER,
     ceil_mul_sqrt,
     decay_step_holds,
-    floor_fraction,
     floor_power_bound,
     iroot,
     sqrt_bound_holds,
@@ -44,12 +43,6 @@ def test_iroot_is_exact_floor_past_float_range(x, d):
 @given(st.integers(0, 10**12), st.integers(1, 5))
 def test_iroot_inverts_powers(r, d):
     assert iroot(r**d, d) == r
-
-
-@given(st.fractions(min_value=0, max_value=10**9))
-def test_floor_fraction(fr):
-    f = floor_fraction(fr)
-    assert f <= fr < f + 1
 
 
 @given(st.integers(1, 10**6), st.integers(1, 200), st.integers(1, 4),

@@ -71,6 +71,15 @@ def test_exact_searches_the_core_beside_many_isolated_vertices(petersen, k):
     assert cut.partition.blocks[0] & mask_of(range(110)) == mask_of(range(110))
 
 
+def test_exact_labels_do_not_depend_on_the_isolated_vertex_count():
+    # k**(n-1) over all 17 vertices is past the cap, over all 5 it is not;
+    # the path's labels are the same either way.
+    labels = [max_k_cut_exact(build_graph(3 + iso, [(0, 1), (1, 2)]), 3).partition.labels()
+              for iso in (2, 14)]
+    assert labels[0][:3].tolist() == labels[1][:3].tolist() == [0, 1, 0]
+    assert not labels[1][3:].any()
+
+
 def test_exact_keeps_the_plain_search_where_the_old_cap_held():
     G = build_graph(14, [(u + 4, v + 4) for u, v in cons.petersen().edges])
     for k in (2, 3):
@@ -463,13 +472,27 @@ def test_surplus_compose_matches_reference():
 
 
 def test_piece_partitions_of_the_wrong_size_are_refused(petersen):
-    pieces = [mask_of(range(5)), mask_of(range(5, 10))]
-    parts = [VertexPartition(5, (0b11, 0b11100)), VertexPartition(4, (0b11, 0b1100))]
-    message = "partition size does not match the vertex list"
-    for stitch in (surplus_compose, _reference_surplus_compose):
+    five = VertexPartition(5, (0b11, 0b11100))
+    cases = [  # pieces, parts, the refusal
+        ([mask_of(range(5)), mask_of(range(5, 10))],
+         [five, VertexPartition(4, (0b11, 0b1100))],
+         "partition size does not match the vertex list"),
+        ([mask_of(range(5)), mask_of(range(5, 10))], [five], "pieces and parts are misaligned"),
+        ([mask_of(range(5)), mask_of(range(4, 9)), mask_of([9])],
+         [five, five, VertexPartition(1, (1, 0))], "pieces overlap"),
+    ]
+    for pieces, parts, message in cases:
+        for stitch in (surplus_compose, _reference_surplus_compose):
+            with pytest.raises(ValueError, match=message):
+                stitch(petersen, pieces, parts, 2)
         with pytest.raises(ValueError, match=message):
-            stitch(petersen, pieces, parts, 2)
-    with pytest.raises(ValueError, match=message):
+            compose_partition(petersen, pieces, parts, k=4)
+    # vertex 10 is past the graph: compose_partition used to fail on mismatched arrays
+    pieces = [mask_of(range(5)), mask_of(range(5, 11))]
+    parts = [five, VertexPartition(6, (0b111, 0b111000))]
+    with pytest.raises(ValueError, match="pieces must lie inside the vertex set"):
+        surplus_compose(petersen, pieces, parts, 2)
+    with pytest.raises(ValueError, match="pieces must lie inside the vertex set"):
         compose_partition(petersen, pieces, parts, k=4)
 
 

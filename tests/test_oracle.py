@@ -68,6 +68,21 @@ def test_budget_and_env(monkeypatch, petersen):
     min_internal_partition(petersen, 2)
 
 
+def test_search_skips_the_vertices_of_degree_zero(petersen):
+    # Petersen's vertices at 10 seeded places among 40: the 30 others touch
+    # nothing, so the search enters Petersen's own nodes and leaves them in
+    # block 0.  Branching on each of them ran past a 1000-node budget.
+    spots = sorted(random.Random(5).sample(range(40), 10))
+    G = build_graph(40, [(spots[u], spots[v]) for u, v in petersen.edges])
+    alone = G.full_mask & ~sum(1 << v for v in spots)
+    cost, part = min_internal_partition(G, 2, budget=1000)
+    base, inner = min_internal_partition(petersen, 2)
+    assert cost == base == 3
+    assert part.blocks[0] & alone == alone
+    assert part.labels()[spots].tolist() == inner.labels().tolist()
+    assert _branch_and_bound(G, 2, 10**7)[2] == _branch_and_bound(petersen, 2, 10**7)[2] == 23
+
+
 def test_is_k_colorable():
     assert is_k_colorable(cons.cycle(6), 2)
     assert not is_k_colorable(cons.cycle(5), 2)
@@ -149,7 +164,7 @@ def _recursive_min_internal_partition(G, k, budget=10**7):
     if k >= n:
         return 0, trivial_distinct(n, k).blocks, 0
     limit = budget
-    part, _ = greedy_complete(G, [0] * k)
+    part, _ = greedy_complete(G, [0] * k, k)
     best_cost = part.internal_count(G)
     best_blocks = list(part.blocks)
     blocks = [0] * k

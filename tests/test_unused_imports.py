@@ -1,4 +1,4 @@
-"""Every imported name in the package and its tests is used.
+"""Every imported name in the package, its tests and the benchmark is used.
 
 A name counts as used when it appears as an identifier anywhere in the
 module (the root of an attribute chain is one) or in the module's
@@ -13,8 +13,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
-    list((ROOT / "src" / "kdelete").glob("*.py")) + list((ROOT / "tests").glob("*.py"))
+    list((ROOT / "src" / "kdelete").glob("*.py"))
+    + list((ROOT / "tests").glob("*.py"))
+    + list((ROOT / "benchmark").glob("**/*.py"))
 )
+
+
+def _module_id(path: Path) -> str:
+    """The path from the repository root, less the leading src/ of package
+    modules (so they read kdelete/name.py, as imported)."""
+    rel = path.relative_to(ROOT)
+    return rel.relative_to("src").as_posix() if rel.parts[0] == "src" else rel.as_posix()
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -43,7 +52,7 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = _used(tree)
