@@ -201,7 +201,7 @@ def _cmd_oracle(args, argv) -> int:
 def _cmd_verify(args, argv) -> int:
     results = run_checks(args.tier, args.seed)
     for res in results:
-        sys.stdout.write(dumps(res.to_json()) + "\n")
+        sys.stdout.write(dumps(res) + "\n")
     failed = [res.name for res in results if not res.ok]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed",
           file=sys.stderr)

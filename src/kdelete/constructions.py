@@ -25,7 +25,7 @@ import numpy as np
 
 from ._rng import SplitMix64, derive_seed
 from .errors import CapabilityError, InvariantViolation, PreconditionError
-from .graphs import Graph, _graph, bit_rows, build_graph, row_bits
+from .graphs import _BLOCK, Graph, _graph, bit_rows, build_graph, row_bits
 
 
 def cycle(n: int) -> Graph:
@@ -263,13 +263,11 @@ class MixingReport:
     exhaustive: bool
 
 
-_BLOCK = 1 << 18  # bytes of A rows per block, and adjacency words per gather
-
-
 def _pair_edges(G: Graph, pairs: list[tuple[int, int]]) -> np.ndarray:
     """e(A, B) of every mask pair as float64: popcount(N(u) & B) summed over
-    the members u of A, on bit rows (graphs.bit_rows), with at most _BLOCK
-    bytes of A rows unpacked and _BLOCK adjacency words gathered at a time."""
+    the members u of A, on bit rows (graphs.bit_rows), with at most
+    graphs._BLOCK bytes of A rows unpacked and graphs._BLOCK adjacency words
+    gathered at a time."""
     n = G.n
     adj = bit_rows(G.adj, n)
     e = np.zeros(len(pairs))

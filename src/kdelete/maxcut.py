@@ -73,9 +73,9 @@ def max_k_cut_exact(G: Graph, k: int) -> CutResult:
     """Provably maximum k-cut: min_internal_partition's optimal partition.
 
     Its search pins the first label and skips the vertices of degree 0,
-    which cut nothing and stay in block 0, so it has at most k**(n-1)
-    leaves for n the vertices of positive degree; inputs where that bound
-    passes 5e6 are refused up front.
+    which cut nothing and stay in block 0 at every k, k >= n included, so
+    it has at most k**(n-1) leaves for n the vertices of positive degree;
+    inputs where that bound passes 5e6 are refused up front.
     """
     if k < 1:
         raise ValueError("k must be positive")

@@ -6,14 +6,16 @@ searched pinned to block 0, a new block index only once all earlier ones
 appear), pruned by a lower bound kept up to date as vertices are assigned
 and undone.  min_internal_partition searches the vertices of positive
 degree in index order and leaves those of degree 0, which add nothing to
-any count, in block 0.  The search keeps its own stack, so its depth is
-bounded by memory, not by the interpreter's recursion limit.  exact_h, which reports only the value, works
-in this order: k-core, blocks, closed form, twin classes, search.  It peels
-G to its k-core (a vertex of degree < k always has a colour free) and splits
-the core into its blocks, over which h is additive.  A block of at most k
-vertices costs 0, and one of maximum degree at most k is answered in closed
-form by Brooks' theorem: 1 if it is K_{k+1} or, at k = 2, an odd cycle, else
-0.  Every other block is searched over its false-twin classes.  False twins
+any count, in block 0, by one rule at every k: the greedy completion seeds
+the incumbent and, when it costs 0 (always so at k >= n), is the answer.
+The search keeps its own stack, so its depth is bounded by memory, not by
+the interpreter's recursion limit.  exact_h, which reports only the value,
+works in this order: k-core, blocks, closed form, twin classes, search.  It
+peels G to its k-core (a vertex of degree < k always has a colour free) and
+splits the core into its blocks, over which h is additive.  A block of at
+most k vertices costs 0, and one of maximum degree at most k is answered in
+closed form by Brooks' theorem: 1 if it is K_{k+1} or, at k = 2, an odd
+cycle, else 0.  Every other block is searched over its false-twin classes.  False twins
 u, v have N(u) = N(v), so they are non-adjacent, and with every other vertex
 placed the deletion count is linear in each one's block: moving one into the
 other's block never costs more.  Some optimal partition therefore keeps each
@@ -26,10 +28,11 @@ metered: every tree node counts against a budget (default 10**7, overridable
 via the KDELETE_BUDGET environment variable, which must then be a positive
 integer) and overruns raise BudgetExceeded rather than silently stalling.
 
-enumerate_graphs yields every labeled graph on up to 7 vertices (optionally
-one representative per isomorphism class for n <= 5), and
-mantel_worst_uncovered sweeps all of them at once with vectorized bit tricks
-to evaluate worst-case single-neighborhood coverage.
+enumerate_graphs yields every labeled graph on up to 7 vertices, or for
+n <= 5 the one with the least edge code in each isomorphism class, found
+with one integer matmul over every code and vertex permutation.
+mantel_worst_uncovered sweeps all 2^C(n,2) codes at once on numpy arrays to
+evaluate worst-case single-neighborhood coverage.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, CapabilityError
 from .graphs import Graph, _graph, edges_inside, iter_bits
-from .partition import VertexPartition, greedy_complete, trivial_distinct
+from .partition import VertexPartition, greedy_complete
 
 DEFAULT_BUDGET = 10**7
 _PLAIN_LIMIT = 2 * 10**7
@@ -87,7 +90,9 @@ def min_internal_partition(
     any count, and a leaf that puts one elsewhere has an equal-cost leaf
     that search meets first, with it moved to block 0 and the blocks
     renumbered in order of first use.  So the search has at most k**(n-1)
-    leaves for n the vertices of positive degree.
+    leaves for n the vertices of positive degree.  The rule holds for every
+    k: at k >= n the greedy completion already costs 0 and its blocks are
+    returned, the degree-0 vertices in block 0 as below n.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -124,7 +129,9 @@ def _branch_and_bound(
     is its own class in index order, the vertices of degree 0 sit in block 0
     throughout, and the returned blocks are min_internal_partition's.  Either
     way the incumbent's count is the completion's added edges, as it starts
-    from empty seeds.
+    from empty seeds.  There is no other entry rule: an incumbent of cost 0,
+    as at n = 0 or k >= n (each vertex then finds an empty block), is
+    returned before any node is entered.
 
     State at depth v (classes before v assigned): used/cost/rest at v, the
     block class v holds (-1 before its first child), the tight masks to
@@ -140,10 +147,6 @@ def _branch_and_bound(
     counts are integers, so the bound adds one per raised vertex.
     """
     n = G.n
-    if n == 0:
-        return 0, (0,) * k, spent
-    if k >= n:
-        return 0, trivial_distinct(n, k).blocks, spent
     part, best_cost = greedy_complete(G, [], k)
     best_blocks = part.blocks
     if best_cost == 0:
@@ -492,9 +495,12 @@ def canonical_code(G: Graph) -> int:
 def enumerate_graphs(n: int, up_to_iso: bool = False) -> Iterator[Graph]:
     """All labeled graphs on n vertices, in edge-bitmask order.
 
-    With up_to_iso=True only the lexicographically least member of each
-    isomorphism class is yielded (kept to n <= 5, where the permutation
-    work stays trivial).
+    With up_to_iso=True only the member of each isomorphism class with the
+    least code (its canonical_code) is yielded.  One integer matmul of the
+    codes' bit rows by the pair images' powers of two gives every code's
+    image under every vertex permutation, and a code is kept when none of
+    its images is lower.  That is kept to n <= 5: 2^10 codes by 120
+    permutations.
     """
     if n < 1 or n > _ENUM_LIMIT:
         raise CapabilityError(f"enumerate_graphs needs 1 <= n <= {_ENUM_LIMIT}")
@@ -504,32 +510,17 @@ def enumerate_graphs(n: int, up_to_iso: bool = False) -> Iterator[Graph]:
     # every pair u < v in order, so the rows at a code's set bits are canonical
     every = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     bits = 1 << np.arange(len(pairs))
-    if not up_to_iso:
-        for code in range(1 << len(pairs)):
-            yield _graph(n, every[code & bits != 0])
-        return
-    index = {p: i for i, p in enumerate(pairs)}
-    # perm_maps[p][i] = image of pair-bit i under vertex permutation p
-    perm_maps = []
-    for perm in permutations(range(n)):
-        row = []
-        for u, v in pairs:
-            a, b = perm[u], perm[v]
-            row.append(index[(a, b) if a < b else (b, a)])
-        perm_maps.append(row)
-    nbits = len(pairs)
-    for code in range(1 << nbits):
-        canon = code
-        for row in perm_maps:
-            mapped = 0
-            for i in range(nbits):
-                if code >> i & 1:
-                    mapped |= 1 << row[i]
-            if mapped < canon:
-                canon = mapped
-                break  # a smaller image exists, so code is not canonical
-        if canon == code:
-            yield _graph(n, every[code & bits != 0])
+    codes = range(1 << len(pairs))
+    if up_to_iso:
+        slot = np.zeros((n, n), dtype=np.int64)  # slot[u, v] = the bit of pair {u, v}
+        slot[every[:, 0], every[:, 1]] = slot[every[:, 1], every[:, 0]] = np.arange(len(pairs))
+        perms = np.array(list(permutations(range(n))))  # the identity first
+        moved = slot[perms[:, every[:, 0]], perms[:, every[:, 1]]]  # [p, i] = pair i moved by p
+        # images[c, p] = code c with every pair moved by permutation p
+        images = (np.array(codes)[:, None] & bits != 0) @ (1 << moved.T)
+        codes = np.flatnonzero(images.min(axis=1) == images[:, 0])
+    for code in codes:
+        yield _graph(n, every[code & bits != 0])
 
 
 def min_uncovered_single(G: Graph) -> int:
@@ -544,49 +535,34 @@ def mantel_worst_uncovered(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """max over all labeled graphs on n vertices of min_uncovered_single,
     with a witness graph attaining it.
 
-    Vectorized over all 2^C(n,2) edge subsets at once: for each vertex the
-    incident-edge bits index a neighborhood lookup table, a pair-mask table
-    turns neighborhoods into the edge set they span, and popcounts do the
-    rest.  The extremal value is floor(n^2/4), attained by balanced complete
-    bipartite graphs.
+    Vectorized over all 2^C(n,2) edge codes at once: for each vertex v,
+    N(v) in every graph is read off the codes with one shift and OR per
+    other vertex, a pair-mask table over vertex masks turns it into the
+    edges it spans, and popcounts do the rest.  The extremal value is
+    floor(n^2/4), attained by balanced complete bipartite graphs; the
+    witness is the first graph in code order that attains it.
     """
     if n < 1 or n > _ENUM_LIMIT:
         raise CapabilityError(f"mantel_worst_uncovered needs 1 <= n <= {_ENUM_LIMIT}")
     pairs = list(combinations(range(n), 2))
     nbits = len(pairs)
-    if nbits == 0:
-        return 0, ()
     index = {p: i for i, p in enumerate(pairs)}
     codes = np.arange(1 << nbits, dtype=np.uint32)
-    m_all = np.bitwise_count(codes).astype(np.int64)
-
+    masks = np.arange(1 << n, dtype=np.uint32)
     # pairmask[mask] = bitset of pair indices with both endpoints in mask
-    pairmask = np.zeros(1 << n, dtype=np.uint32)
-    for mask in range(1 << n):
-        bits = 0
-        for i, (u, v) in enumerate(pairs):
-            if mask >> u & 1 and mask >> v & 1:
-                bits |= 1 << i
-        pairmask[mask] = bits
-
-    best_min = None
+    pairmask = np.zeros_like(masks)
+    for i, (u, v) in enumerate(pairs):
+        pairmask |= (masks >> u & masks >> v & 1) << i
+    # uint8 counts: an edge set spanned by N(v) is part of the code, so
+    # m_all - inside never wraps
+    m_all = np.bitwise_count(codes)
+    best_min = m_all
     for v in range(n):
-        others = [u for u in range(n) if u != v]
-        inc = [index[(u, v) if u < v else (v, u)] for u in others]
-        pat = np.zeros_like(codes)
-        for slot, bit in enumerate(inc):
-            pat |= ((codes >> np.uint32(bit)) & np.uint32(1)) << np.uint32(slot)
-        nbr = np.zeros(1 << (n - 1), dtype=np.uint32)
-        for p in range(1 << (n - 1)):
-            mask = 0
-            for slot in range(n - 1):
-                if p >> slot & 1:
-                    mask |= 1 << others[slot]
-            nbr[p] = mask
-        inside = np.bitwise_count(codes & pairmask[nbr[pat]])
-        unc = m_all - inside
-        best_min = unc if best_min is None else np.minimum(best_min, unc)
-
+        nbr = np.zeros_like(codes)  # N(v) in every graph
+        for u in range(n):
+            if u != v:
+                nbr |= (codes >> index[min(u, v), max(u, v)] & 1) << u
+        best_min = np.minimum(best_min, m_all - np.bitwise_count(codes & pairmask[nbr]))
     worst = int(best_min.max())
     code = int(best_min.argmax())
     witness = tuple(pairs[i] for i in range(nbits) if code >> i & 1)

@@ -147,7 +147,9 @@ def greedy_complete(G: Graph, seeds: Sequence[int], k: int) -> tuple[VertexParti
     edges added on the way.
 
     Vertices are placed in ascending index order into the block gaining the
-    fewest internal edges (lowest block index on ties).  Each placement costs
+    fewest internal edges (lowest block index on ties); the scan over the
+    blocks stops at the first one holding no neighbour of the vertex, so a
+    vertex of degree 0 costs one popcount whatever k is.  Each placement costs
     at most the average over all k blocks, and summing those averages counts
     every edge outside G[union of seeds] at most once, so
 
@@ -167,10 +169,10 @@ def greedy_complete(G: Graph, seeds: Sequence[int], k: int) -> tuple[VertexParti
     for v in range(G.n):
         if taken >> v & 1:
             continue
-        best = 0
-        best_cost = (G.adj[v] & blocks[0]).bit_count()
-        for i in range(1, len(blocks)):
-            cost = (G.adj[v] & blocks[i]).bit_count()
+        av = G.adj[v]
+        best, best_cost = 0, av.bit_count() + 1  # above every block's count
+        for i, b in enumerate(blocks):
+            cost = (av & b).bit_count()
             if cost < best_cost:
                 best, best_cost = i, cost
                 if cost == 0:

@@ -70,14 +70,6 @@ class CheckResult:
     detail: str
     seconds: float
 
-    def to_json(self):
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "detail": self.detail,
-            "seconds": round(self.seconds, 3),
-        }
-
 
 class CheckFailure(AssertionError):
     pass
@@ -454,5 +446,5 @@ def run_checks(tier: str = "tiny", seed: int = 0) -> list[CheckResult]:
         except Exception as exc:
             detail = f"{type(exc).__name__}: {exc}"
             ok = False
-        results.append(CheckResult(name, ok, detail, perf_counter() - t0))
+        results.append(CheckResult(name, ok, detail, round(perf_counter() - t0, 3)))
     return results

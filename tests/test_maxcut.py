@@ -29,7 +29,7 @@ from kdelete.maxcut import (
     maxcut_odd_cycle_free,
     surplus_compose,
 )
-from kdelete.oracle import exact_h, min_internal_partition
+from kdelete.oracle import exact_h
 from kdelete.partition import VertexPartition, compose_partition
 
 small_graph = st.builds(
@@ -73,17 +73,22 @@ def test_exact_searches_the_core_beside_many_isolated_vertices(petersen, k):
 
 def test_exact_labels_do_not_depend_on_the_isolated_vertex_count():
     # k**(n-1) over all 17 vertices is past the cap, over all 5 it is not;
-    # the path's labels are the same either way.
-    labels = [max_k_cut_exact(build_graph(3 + iso, [(0, 1), (1, 2)]), 3).partition.labels()
-              for iso in (2, 14)]
-    assert labels[0][:3].tolist() == labels[1][:3].tolist() == [0, 1, 0]
-    assert not labels[1][3:].any()
-
-
-def test_exact_keeps_the_plain_search_where_the_old_cap_held():
-    G = build_graph(14, [(u + 4, v + 4) for u, v in cons.petersen().edges])
+    # the path's labels are the same either way, at k < n and k >= n alike,
+    # with every degree-0 vertex in block 0.
+    for k in (3, 4, 5, 6):
+        labels = [max_k_cut_exact(build_graph(3 + iso, [(0, 1), (1, 2)]), k).partition.labels()
+                  for iso in (2, 14)]
+        assert labels[0][:3].tolist() == labels[1][:3].tolist() == [0, 1, 0]
+        assert not labels[0][3:].any() and not labels[1][3:].any()
+    # degree-0 vertices ahead of the first edge leave the labels as they were
+    P = cons.petersen()
+    G = build_graph(14, [(u + 4, v + 4) for u, v in P.edges])
     for k in (2, 3):
-        assert max_k_cut_exact(G, k).partition == min_internal_partition(G, k)[1]
+        labels = max_k_cut_exact(G, k).partition.labels()
+        assert not labels[:4].any()
+        assert labels[4:].tolist() == max_k_cut_exact(P, k).partition.labels().tolist()
+    labels = max_k_cut_exact(build_graph(10_000, [(0, 1)]), 10_000).partition.labels()
+    assert labels[:2].tolist() == [0, 1] and not labels[2:].any()
 
 
 @given(small_graph, st.integers(2, 4), st.integers(0, 2**32))

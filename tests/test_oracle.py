@@ -1,5 +1,6 @@
 import random
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from kdelete.oracle import (
     min_uncovered_single,
     twin_classes,
 )
-from kdelete.partition import VertexPartition, greedy_complete, trivial_distinct
+from kdelete.partition import VertexPartition, greedy_complete
 
 # frozen by hand: h(C5,2)=1 (one odd cycle), h(K4,2)=2, h(K5,2)=4
 # (K5 2-cut leaves C(3,2)+C(2,2)=4), h(Petersen,2)=3, and 3-colorable
@@ -108,6 +109,14 @@ def test_enumerate_counts():
     assert sum(1 for _ in enumerate_graphs(5, up_to_iso=True)) == 34
 
 
+def test_enumerate_up_to_iso_keeps_each_class_least_code():
+    for n in range(1, 6):
+        index = {p: i for i, p in enumerate(combinations(range(n), 2))}
+        least = [G.edges for G in enumerate_graphs(n)
+                 if canonical_code(G) == sum(1 << index[e] for e in G.edges)]
+        assert [G.edges for G in enumerate_graphs(n, up_to_iso=True)] == least
+
+
 def test_enumerate_limits():
     with pytest.raises(CapabilityError):
         list(enumerate_graphs(8))
@@ -136,14 +145,14 @@ def test_min_uncovered_single_matches_definition(petersen, c5):
 
 
 def test_mantel_worst_matches_floor():
-    for n in (2, 3, 4, 5):
+    for n in range(1, 8):
         worst, witness = mantel_worst_uncovered(n)
         assert worst == n * n // 4
-        # the witness is a real graph attaining the value
-        from kdelete.graphs import build_graph
-
-        G = build_graph(n, list(witness))
-        assert min_uncovered_single(G) == worst
+        # the witness is K_{floor(n/2), ceil(n/2)} on {0, ..., floor(n/2) - 1}
+        # and the rest, and attains the value
+        half = n // 2
+        assert witness == tuple((u, v) for u in range(half) for v in range(half, n))
+        assert min_uncovered_single(build_graph(n, list(witness))) == worst
 
 
 def test_duality_on_small_graphs(small_random_graphs):
@@ -159,10 +168,6 @@ def _recursive_min_internal_partition(G, k, budget=10**7):
     """The recursive branch and bound the explicit-stack search replaced,
     kept as a reference; returns (cost, blocks, nodes)."""
     n = G.n
-    if n == 0:
-        return 0, (0,) * k, 0
-    if k >= n:
-        return 0, trivial_distinct(n, k).blocks, 0
     limit = budget
     part, _ = greedy_complete(G, [0] * k, k)
     best_cost = part.internal_count(G)

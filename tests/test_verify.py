@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -6,6 +7,7 @@ import kdelete.verify as V
 from kdelete import corpus
 from kdelete.maxcut import CutResult
 from kdelete.partition import VertexPartition
+from kdelete.serialize import dumps
 from kdelete.verify import CheckFailure, CheckResult, build_checks, run_checks
 
 
@@ -42,7 +44,7 @@ def test_failures_are_captured_not_raised(monkeypatch):
 
 def test_check_result_json_shape():
     res = CheckResult("x", True, "fine", 0.25)
-    out = res.to_json()
+    out = json.loads(dumps(res))
     assert set(out) == {"name", "ok", "detail", "seconds"}
 
 
