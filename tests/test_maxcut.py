@@ -80,15 +80,22 @@ def test_exact_labels_do_not_depend_on_the_isolated_vertex_count():
                   for iso in (2, 14)]
         assert labels[0][:3].tolist() == labels[1][:3].tolist() == [0, 1, 0]
         assert not labels[0][3:].any() and not labels[1][3:].any()
-    # degree-0 vertices ahead of the first edge leave the labels as they were
+    labels = max_k_cut_exact(build_graph(10_000, [(0, 1)]), 10_000).partition.labels()
+    assert labels[:2].tolist() == [0, 1] and not labels[2:].any()
+
+
+def test_exact_keeps_the_plain_search_where_the_old_cap_held():
+    # k**(n-1) over all 14 vertices is under the cap; degree-0 vertices ahead
+    # of the first edge still leave the Petersen labels as they were, and the
+    # cut is optimal.
     P = cons.petersen()
     G = build_graph(14, [(u + 4, v + 4) for u, v in P.edges])
     for k in (2, 3):
-        labels = max_k_cut_exact(G, k).partition.labels()
+        cut = max_k_cut_exact(G, k).validate(G)
+        labels = cut.partition.labels()
         assert not labels[:4].any()
         assert labels[4:].tolist() == max_k_cut_exact(P, k).partition.labels().tolist()
-    labels = max_k_cut_exact(build_graph(10_000, [(0, 1)]), 10_000).partition.labels()
-    assert labels[:2].tolist() == [0, 1] and not labels[2:].any()
+        assert G.m - cut.crossing == exact_h(P, k)
 
 
 @given(small_graph, st.integers(2, 4), st.integers(0, 2**32))
