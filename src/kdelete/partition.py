@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .graphs import Graph, bit_rows, label_masks, row_bits
+from .graphs import _BLOCK, Graph, bit_rows, label_masks, row_bits
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,16 @@ class VertexPartition:
 
     def labels(self) -> np.ndarray:
         """Each vertex's block index, an int64 array read off the blocks' bit
-        rows.  Only their nonzero words are unpacked, at most n of them, so
-        the scratch past the rows is O(n) however many blocks there are."""
-        rows = bit_rows(self.blocks, self.n)
-        block, word = rows.nonzero()
-        hit, place = row_bits(rows[block, word].reshape(-1, 1), 64).nonzero()
+        rows, converted graphs._BLOCK // words blocks at a time.  Only their
+        nonzero words are unpacked, at most n of them, so the scratch is
+        O(n + _BLOCK) however many blocks there are."""
         out = np.empty(self.n, dtype=np.int64)
-        out[64 * word[hit] + place] = block[hit]
+        step = max(1, _BLOCK // max(1, (self.n + 63) // 64))
+        for lo in range(0, self.k, step):
+            rows = bit_rows(self.blocks[lo : lo + step], self.n)
+            block, word = rows.nonzero()
+            hit, place = row_bits(rows[block, word].reshape(-1, 1), 64).nonzero()
+            out[64 * word[hit] + place] = lo + block[hit]
         return out
 
     def assignment(self) -> list[int]:

@@ -60,6 +60,7 @@ def test_regular_suite_is_regular():
     for name, G in suite:
         degs = {G.degree(v) for v in range(G.n)}
         assert len(degs) == 1, name
+        assert G.n <= 10, name
 
 
 def test_blowup_suite_canonical_30():

@@ -214,7 +214,7 @@ def test_girth_checks_search_only_up_to_2r_plus_1(monkeypatch):
     monkeypatch.setattr(oddgirth, "odd_girth", spy)
     monkeypatch.setattr(verify, "odd_girth", spy)
     partition_odd_girth(cons.cycle(11), 2, 2, verify=True)
-    verify._check_scrubber(c5_free_scrub_suite()[:1], 3)
+    verify._scrubber(*c5_free_scrub_suite()[0], 3)
     # the check at 2r + 1 = 5, then the r = 3 scrub's test before length 5,
     # the check at 7, and the scrub inside partition_odd_cycle_free
     assert limits == [5, 5, 7, 5]

@@ -1,12 +1,16 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kdelete import constructions as cons
+from kdelete import partition as P
 from kdelete.constructions import random_graph
 from kdelete.errors import InvariantViolation
-from kdelete.graphs import edges_inside, format_edge_list, mask_of, parse_edge_list
-from kdelete.maxcut import _pair_weights
+from kdelete.graphs import build_graph, edges_inside, format_edge_list, mask_of, parse_edge_list
+from kdelete.maxcut import _pair_weights, max_k_cut_exact
 from kdelete.partition import (
     VertexPartition,
     balanced_partition,
@@ -73,6 +77,35 @@ def test_counting_against_each_other(petersen):
 def test_trivial_distinct():
     p = trivial_distinct(3, 5)
     assert p.k == 5 and p.blocks == (0b001, 0b010, 0b100, 0, 0)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 64])
+def test_labels_match_across_chunks_of_blocks(monkeypatch, block):
+    # one 64-bit word per block row, so each chunk holds `block` blocks
+    monkeypatch.setattr(P, "_BLOCK", block)
+    blocks = (0b1000100, 0, 0b0010011, 0b0100000, 0b0001000)
+    label = [next(i for i, b in enumerate(blocks) if b >> v & 1) for v in range(7)]
+    assert VertexPartition(7, blocks).labels().tolist() == label
+
+
+@pytest.mark.parametrize("make, expected", [
+    # vertex 1 alone in block 1, every other vertex in block 0
+    (lambda: max_k_cut_exact(build_graph(10000, [(0, 1)]), 10000).partition,
+     lambda: (np.arange(10000) == 1).astype(np.int64)),
+    (lambda: trivial_distinct(10000, 10000), lambda: np.arange(10000)),
+], ids=["one-edge-max-cut", "trivial-distinct"])
+def test_labels_scratch_stays_small_with_as_many_blocks_as_vertices(make, expected):
+    part = make()
+    tracemalloc.start()
+    try:
+        labels = part.labels()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.tolist() == expected().tolist()
+    # about 1.8 MiB when the blocks are converted a chunk at a time; all
+    # 10,000 bit rows at once take 25 MiB
+    assert peak < 4 * 2**20
 
 
 @given(random_instances, st.integers(1, 6))

@@ -11,6 +11,54 @@ from kdelete.serialize import dumps
 from kdelete.verify import CheckFailure, CheckResult, build_checks, run_checks
 
 
+# Every desk check's (name, detail) at seed 0, in run order; the tiny tier
+# runs the first 13 and the small tier the first 23.
+DESK_AT_SEED_0 = [
+    ("cover-bound", "120 cover selections under n^2/(e k)"),
+    ("cover-vs-exact", "8 selections sandwiched by exact_u"),
+    ("duality-exact", "20 exact h = m - maxcut identities"),
+    ("heuristic-above-h", "20 heuristic runs at or above exact h"),
+    ("triangle-free-small", "12 triangle-free runs under n^2/(e k^2)"),
+    ("odd-girth-small", "8 odd-girth runs under 4(12r)^r n^2/k^(r+1)"),
+    ("scrubber-small", "4 scrub runs clean"),
+    ("blowup-identity-small", "8 blow-up identities h(G[t],k) = t^2 h(G,k)"),
+    ("dl-closed-form", "10 d_l(K_k) closed-form values match brute force"),
+    ("coarsen-share", "12 coarsenings kept the d_l(K_k) share"),
+    ("spectral", "spectral certificates sound on the regular suite"),
+    ("driver-bipartite", "K_89,89 driver crossing 7921/7921 with k=178"),
+    ("wheel-free-small", "1 wheel-free runs under the composed ceiling"),
+    ("cover-bound-full", "800 cover selections under n^2/(e k)"),
+    ("triangle-free-full", "56 triangle-free runs under n^2/(e k^2)"),
+    ("odd-girth-full", "24 odd-girth runs under 4(12r)^r n^2/k^(r+1)"),
+    ("scrubber-full", "9 scrub runs clean"),
+    ("blowup-identity-full", "60 blow-up identities h(G[t],k) = t^2 h(G,k)"),
+    ("duality-full", "80 exact h = m - maxcut identities"),
+    ("dl-product", "90 cut-density products d_l >= d_l(K_k) d_k"),
+    ("dl-closed-form-full", "15 d_l(K_k) closed-form values match brute force"),
+    ("split-driver", "8 split-driver runs at or above m/2"),
+    ("single-cover-worst-small", "worst one-center coverage n=4:4, n=5:6, n=6:9"),
+    ("clique-free-theorem",
+     "18 clique-free runs under (5/3) 4^(r-3) n^2 / k^((r-1)/(r-2))"),
+    ("single-cover-worst", "worst one-center coverage n=4:4, n=5:6, n=6:9, n=7:12"),
+    ("dl-product-full", "300 cut-density products d_l >= d_l(K_k) d_k"),
+    ("wheel-free-full", "4 wheel-free runs under the composed ceiling"),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("tier, count", [("tiny", 13), ("small", 23), ("desk", 27)])
+def test_each_tier_lists_its_pinned_checks_in_order(tier, count, seed):
+    names = [name for name, _ in DESK_AT_SEED_0[:count]]
+    assert [name for name, _ in build_checks(tier, seed)] == names
+
+
+def test_desk_tier_details_are_pinned():
+    results = run_checks("desk", seed=0)
+    assert [(r.name, r.ok, r.detail) for r in results] == [
+        (name, True, detail) for name, detail in DESK_AT_SEED_0
+    ]
+
+
 def test_tiers_nest():
     tiny = {name for name, _ in build_checks("tiny", seed=0)}
     small = {name for name, _ in build_checks("small", seed=0)}
@@ -52,13 +100,13 @@ def test_check_result_json_shape():
 # a small input, and once more against a broken collaborator it must catch.
 
 def _dl_product():
-    return V._check_dl_coarsen_product(
-        corpus.random_n8_suite()[:3], ((3, 2), (4, 2), (4, 3))
-    )
+    return V._grid(V._dl_product, V._DL_PRODUCT, lambda: corpus.random_n8_suite()[:3],
+                   ((3, 2), (4, 2), (4, 3)))
 
 
 def _split_driver():
-    return V._check_split_driver(corpus.odd_girth7_suite()[:2], 2)
+    return V._grid(V._split_driver, "split-driver runs at or above m/2",
+                   lambda: corpus.odd_girth7_suite()[:2], (2,))
 
 
 def _single_cover_worst():
