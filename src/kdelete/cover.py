@@ -11,10 +11,12 @@ Three selectors are provided.  select_cover_random replays the probabilistic
 argument directly (best of `trials` uniform draws).  select_cover_greedy is
 plain max-coverage: with union U so far and W = N(v) \\ U, center v gains
 e(W, U) + e(G[W]), counted exactly on the edge arrays, with no per-vertex bit
-loop.  select_cover_expectation walks through the random draw one center at
-a time, always moving to a center whose conditional expected uncovered count
-does not exceed the current one; since the initial expectation is below
-n^2/(e*k), the finished selection satisfies
+loop; the first e(G[W]) = e(G[N(v)]) is summed from the common-neighbour
+counts per edge, and only the later recounts read the bit rows.
+select_cover_expectation walks through the random draw one center at a time,
+always moving to a center whose conditional expected uncovered count does not
+exceed the current one; since the initial expectation is below n^2/(e*k), the
+finished selection satisfies
 
     uncovered_edges <= n^2 / (e * k)
 
@@ -127,18 +129,20 @@ def selection_from_centers(G: Graph, centers: Sequence[int]) -> CoverSelection:
 
 
 # What both selectors read off G, built by _edge_arrays; under "best",
-# select_cover builds it once and hands it to both.
+# select_cover builds it once and hands it to both.  common[e] is
+# |N(x) & N(y)| for edge e = xy, which the greedy selector's first inside
+# counts are summed from.
 _EdgeArrays = namedtuple(
-    "_EdgeArrays", "degree ex ey union_size shared src dst edge_of start packed"
+    "_EdgeArrays", "degree ex ey union_size common shared src dst edge_of start packed"
 )
 
 
 def _edge_arrays(G: Graph, k: int) -> _EdgeArrays:
-    """Degrees; edge ends ex < ey; union sizes u_e = |N(x) | N(y)| per edge;
-    shared, the edges whose ends have a common neighbour (the only ones that
-    can lie inside some N(v)); the 2m directed edges src -> dst sorted by
-    source, with edge_of[i] the edge that directed edge i runs along, so
-    N(v) = dst[start[v]:start[v + 1]]; and the adjacency as bit rows
+    """Degrees; edge ends ex < ey; union sizes u_e = |N(x) | N(y)| and common
+    counts c_e = |N(x) & N(y)| per edge; shared, the edges with c_e > 0 (the
+    only ones that can lie inside some N(v)); the 2m directed edges src -> dst
+    sorted by source, with edge_of[i] the edge that directed edge i runs
+    along, so N(v) = dst[start[v]:start[v + 1]]; and the adjacency as bit rows
     (graphs.bit_rows) when some edge is shared (else None).
 
     u_e = d(x) + d(y) - |N(x) & N(y)|, the common counts read off the bit
@@ -162,8 +166,8 @@ def _edge_arrays(G: Graph, k: int) -> _EdgeArrays:
     # An edge lies inside N(v) only when v is a common neighbour of its ends.
     shared = common > 0
     return _EdgeArrays(
-        degree, ex, ey, degree[ex] + degree[ey] - common, shared, src, dst, edge_of,
-        start, packed if shared.any() else None,
+        degree, ex, ey, degree[ex] + degree[ey] - common, common, shared, src, dst,
+        edge_of, start, packed if shared.any() else None,
     )
 
 
@@ -201,6 +205,19 @@ def _inside_sums(
     return parts[:, :, 0] + parts[:, :, 1] + parts[:, :, 2] + parts[:, :, 3]
 
 
+def _edges_in_neighborhoods(arrays: _EdgeArrays) -> np.ndarray:
+    """e(G[N(v)]) for every vertex v, the triangles through v.
+
+    An edge wz inside N(v) is counted once in |N(v) & N(w)| and once in
+    |N(v) & N(z)|, so e(G[N(v)]) is half the sum of common[e] over the edges e
+    at v: one bincount over the directed edges out of v.  Each sum is at most
+    d(v) * n < n**2, below 2**28 at n <= MAX_VERTICES and far below the 2**53
+    up to which float64 sums of integers are exact.
+    """
+    return np.bincount(arrays.src, weights=arrays.common[arrays.edge_of],
+                       minlength=len(arrays.degree)) // 2
+
+
 def select_cover_random(
     G: Graph, k: int, trials: int = 1, seed: int = 0
 ) -> CoverSelection:
@@ -233,12 +250,14 @@ def select_cover_greedy(
     over the directed edges gives |N(w) & U| for every w, and a second sums
     it over the w in W; the weights are integers and every sum stays below
     n^2 < 2^53, so the float64 sums are exact.  e(G[W]) is the number of
-    edges with neither end in U and v adjacent to both ends: _inside_sums
-    with a unit weight counts it once for all shared edges, and after each
-    pick counts only the edges the union reached, or the ones still outside
-    it if those are fewer.  It is 0 on a triangle-free graph.  argmax takes
-    the first maximum, the lowest index, as a strict > scan does.  Once U
-    holds every vertex each gain is 0, so the remaining centers are all
+    edges with neither end in U and v adjacent to both ends.  With U empty
+    it is e(G[N(v)]), which _edges_in_neighborhoods sums from the common
+    counts per edge in one more bincount, exact in float64 as its sums stay
+    below n^2 (2^28 at MAX_VERTICES); after each pick _inside_sums with a
+    unit weight counts only the edges the union reached, or the ones still
+    outside it if those are fewer.  It is 0 on a triangle-free graph.  argmax
+    takes the first maximum, the lowest index, as a strict > scan does.  Once
+    U holds every vertex each gain is 0, so the remaining centers are all
     vertex 0.  arrays is _edge_arrays(G, k) when the caller already has it.
     """
     arrays = arrays or _edge_arrays(G, k)
@@ -255,7 +274,7 @@ def select_cover_greedy(
     # some of them, inside is recounted from whichever side is smaller, the
     # edges that left or the edges that stay.
     fresh = arrays.shared.copy()
-    inside = count_inside(fresh) if fresh.any() else 0
+    inside = _edges_in_neighborhoods(arrays) if fresh.any() else 0
     in_union = np.zeros(n, dtype=bool)
     centers: list[int] = []
     for step in range(k):

@@ -23,6 +23,7 @@ from kdelete.corpus import (
 from kdelete.cover import (
     CoverSelection,
     _edge_arrays,
+    _edges_in_neighborhoods,
     _inside_sums,
     _to_limbs,
     _scaled_expectation,
@@ -454,6 +455,9 @@ def _check_edge_arrays(G: Graph) -> None:
     assert a.union_size.tolist() == [
         (G.adj[x] | G.adj[y]).bit_count() for x, y in G.edges
     ]
+    assert a.common.tolist() == [(G.adj[x] & G.adj[y]).bit_count() for x, y in G.edges]
+    # e(G[N(v)]), the greedy selector's first inside counts, edge by edge
+    assert _edges_in_neighborhoods(a).tolist() == _inside_reference(G, [1] * G.m)
     shared = [bool(G.adj[x] & G.adj[y]) for x, y in G.edges]
     assert a.shared.tolist() == shared
     assert (a.packed is None) == (not any(shared))
@@ -480,6 +484,20 @@ def test_edge_arrays_match_per_edge_bit_counts_on_random_graphs(n):
 def test_edge_arrays_count_more_than_255_common_neighbours():
     # the edge between the two singleton parts has 270 common neighbours
     _check_edge_arrays(cons.complete_multipartite([1, 1, 270]))
+
+
+@given(random_instances)
+def test_edge_arrays_match_per_edge_bit_counts_on_hypothesis_graphs(G):
+    _check_edge_arrays(G)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [cons.complete_multipartite([20] * 3), windmill(7), dict(K4_FREE)["tripartite-100"]],
+    ids=["k20-20-20", "windmill7", "tripartite-100"],
+)
+def test_edge_arrays_match_per_edge_bit_counts_on_triangle_rich_graphs(G):
+    _check_edge_arrays(G)
 
 
 def _inside_reference(G: Graph, weights: list[int]) -> list[int]:
@@ -511,6 +529,22 @@ def test_inside_sums_match_bit_loop_at_full_limbs(G):
     assert sums.shape == (G.n, 2)
     got = [sum(c << (32 * b) for b, c in enumerate(row)) for row in sums.tolist()]
     assert got == _inside_reference(G, edge_value)
+
+
+def test_greedy_cover_first_inside_counts_unpack_no_bit_rows(monkeypatch):
+    """The first inside counts come from the common counts per edge; on
+    K_{20,20,20} one center covers every vertex, so no recount follows and
+    _inside_sums is never called."""
+    G = cons.complete_multipartite([20, 20, 20])
+    calls = []
+
+    def spy(packed, xs, ys, index, table):
+        calls.append(len(xs))
+        return _inside_sums(packed, xs, ys, index, table)
+
+    monkeypatch.setattr(cover, "_inside_sums", spy)
+    assert select_cover_greedy(G, 1) == _reference_greedy(G, 1)
+    assert calls == []
 
 
 def test_greedy_cover_stops_once_the_union_holds_every_vertex(monkeypatch):
