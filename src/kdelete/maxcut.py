@@ -31,7 +31,7 @@ from .errors import CapabilityError, InvariantViolation
 from .graphs import Graph, label_masks, mask_of
 from .oddgirth import partition_odd_cycle_free
 from .oracle import min_internal_partition
-from .partition import VertexPartition, lift_pieces
+from .partition import VertexPartition, lift_pieces, polish
 
 _EXACT_CUT_LIMIT = 5 * 10**6
 _GROUPING_ENUM_LIMIT = 10**5
@@ -109,38 +109,13 @@ def local_search_cut(
         raise ValueError("starts must be positive")
     n = G.n
     rng = SplitMix64(derive_seed(seed, 0x61, n, G.m, k))
-    best_blocks = None
-    best_internal = None
+    part = best_internal = None
     for _ in range(starts):
         labels = [v % k for v in range(n)]
         rng.shuffle(labels)
-        lab = np.array(labels, dtype=np.int64)
-        blocks = label_masks(k, n, lab, np.arange(n))
-        ends = lab[G.ends]
-        internal = int(np.count_nonzero(ends[:, 0] == ends[:, 1]))
-        improved = True
-        while improved:
-            improved = False
-            for v in range(n):
-                here = labels[v]
-                cost_here = (G.adj[v] & blocks[here]).bit_count()
-                target, cost = here, cost_here
-                for b in range(k):
-                    if b == here:
-                        continue
-                    c = (G.adj[v] & blocks[b]).bit_count()
-                    if c < cost:
-                        target, cost = b, c
-                if target != here:
-                    blocks[here] &= ~(1 << v)
-                    blocks[target] |= 1 << v
-                    labels[v] = target
-                    internal += cost - cost_here
-                    improved = True
+        moved, internal = polish(G, labels, k)
         if best_internal is None or internal < best_internal:
-            best_internal = internal
-            best_blocks = tuple(blocks)
-    part = VertexPartition(n, best_blocks)
+            part, best_internal = moved, internal
     crossing = G.m - best_internal
     if crossing * k < G.m * (k - 1):
         raise InvariantViolation("local search ended below the (1-1/k) floor")

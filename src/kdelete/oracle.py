@@ -7,9 +7,16 @@ appear), pruned by a lower bound kept up to date as vertices are assigned
 and undone.  min_internal_partition searches the vertices of positive
 degree in index order and leaves those of degree 0, which add nothing to
 any count, in block 0, by one rule at every k: the greedy completion seeds
-the incumbent and, when it costs 0 (always so at k >= n), is the answer.
-The search keeps its own stack, so its depth is bounded by memory, not by
-the interpreter's recursion limit.  exact_h, which reports only the value,
+the incumbent and, when it costs 0 (always so at k >= n), is the answer;
+otherwise the incumbent is that completion polished by single-vertex moves
+(partition.polish).  The search keeps its own stack, so its depth is
+bounded by memory, not by the interpreter's recursion limit.  It walks the
+top levels one node at a time in Python and, on a search that has entered
+more than _ALONE nodes, queues the nodes with at most _R = 16 classes left
+and finishes them in chunks with one numpy kernel (_flush) that scores
+every child of a chunk at once, in the same depth-first order, so every
+value and every returned block list is that of the one-node-at-a-time
+search.  exact_h, which reports only the value,
 works in this order: k-core, blocks, closed form, twin classes, search.  It
 peels G to its k-core (a vertex of degree < k always has a colour free) and
 splits the core into its blocks, over which h is additive.  A block of at
@@ -38,19 +45,21 @@ evaluate worst-case single-neighborhood coverage.
 from __future__ import annotations
 
 import os
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, CapabilityError
-from .graphs import Graph, _graph, edges_inside, iter_bits
-from .partition import VertexPartition, greedy_complete
+from .graphs import _BLOCK, Graph, _graph, bit_rows, edges_inside, iter_bits
+from .partition import VertexPartition, greedy_complete, polish
 
 DEFAULT_BUDGET = 10**7
 _PLAIN_LIMIT = 2 * 10**7
 _ENUM_LIMIT = 7
 _ISO_LIMIT = 5
+_R = 16  # classes left at the deepest nodes the scalar search enters once it hands off
+_ALONE = 200  # nodes the scalar search enters before it hands any to _flush
 
 
 def _resolve_budget(budget: Optional[int]) -> int:
@@ -84,6 +93,15 @@ def min_internal_partition(
     costs less.  A pruned subtree therefore holds no leaf strictly below the
     incumbent, the incumbents arrive in the order the bound-free search
     finds them, and the returned blocks are the ones that search returns.
+
+    When the completion polished by single-vertex moves (partition.polish)
+    costs p below the completion's own count g, the search prunes at p + 1,
+    so leaves costing p are searched too: some leaf costs at most p (the
+    polished blocks renumbered by first use), and the first leaf of least
+    cost in search order is returned, as the bound-free search returns it
+    whenever g exceeds the optimum.  When p = g the completion is the
+    incumbent, as before.  Nodes are entered in that order too, though
+    not all one at a time (see _branch_and_bound).
 
     The vertices of degree 0 stay in block 0, and the blocks are still
     those of the bound-free search over every vertex: they add nothing to
@@ -125,13 +143,25 @@ def _branch_and_bound(
     some optimal partition keeps every class together (Zykov), and the cost
     returned is h(G, k).  True twins (adjacent, with equal closed
     neighbourhoods) must not share a class, since the edge between them
-    breaks that linearity.  Without classes every vertex of positive degree
-    is its own class in index order, the vertices of degree 0 sit in block 0
-    throughout, and the returned blocks are min_internal_partition's.  Either
-    way the incumbent's count is the completion's added edges, as it starts
-    from empty seeds.  There is no other entry rule: an incumbent of cost 0,
-    as at n = 0 or k >= n (each vertex then finds an empty block), is
-    returned before any node is entered.
+    breaks that linearity.  With classes only the cost is read: the
+    incumbent is the polished completion, the search prunes at its count p,
+    and its blocks come back when no leaf costs less.  Without classes every
+    vertex of positive degree is its own class in index order, the vertices
+    of degree 0 sit in block 0 throughout, the search prunes at p + 1 when
+    the polish moved anything (see min_internal_partition) and the returned
+    blocks are min_internal_partition's.  Either way the greedy count is the
+    completion's added edges, as it starts from empty seeds.  There is no
+    other entry rule: an incumbent of cost 0, as at n = 0 or k >= n (each
+    vertex then finds an empty block), is returned before any node is
+    entered.
+
+    The first _ALONE nodes are walked one at a time.  After that a child
+    with at most _R classes left is not descended into but queued, as
+    (blocks, cost, used, bound, depth), and the queue goes to _flush in
+    search order whenever it holds graphs._BLOCK // (k * _R) nodes, and
+    once at the end; a queued node is counted when _flush enters it.  So a
+    search over at most _R classes, or of at most _ALONE nodes, never
+    leaves this loop.
 
     State at depth v (classes before v assigned): used/cost/rest at v, the
     block class v holds (-1 before its first child), the tight masks to
@@ -147,7 +177,10 @@ def _branch_and_bound(
     counts are integers, so the bound adds one per raised vertex.
     """
     n = G.n
-    part, best_cost = greedy_complete(G, [], k)
+    part, greedy = greedy_complete(G, [], k)
+    part, best_cost = polish(G, part.assignment(), k) if greedy else (part, 0)
+    if classes is None and best_cost < greedy:  # ties too: the first optimal leaf
+        best_cost += 1
     best_blocks = part.blocks
     if best_cost == 0:
         return 0, best_blocks, spent
@@ -177,6 +210,11 @@ def _branch_and_bound(
     raised = [0] * n
     olds: list = [None] * n
     last = len(spec) - 1
+    queue_at = last - _R if 0 < _R <= last else -1  # the nodes below have <= _R classes left
+    if queue_at >= 0:
+        tail = _tail(spec[queue_at + 1 :], n)
+        width = max(1, _BLOCK // (k * _R))
+        queue: list = []
     nodes = spent + 1
     if nodes > limit:
         raise _over(limit, n, k)
@@ -221,6 +259,21 @@ def _branch_and_bound(
                         mn[u] = m
             alone = alone_at[v]
         base = cost + rest_at[v] - s * mn[r]
+        if v >= queue_at >= 0 and nodes - spent > _ALONE:
+            for i in range(i + 1, top):
+                extra = (av & blocks[i]).bit_count() * s
+                bound = base + extra + (alone & tight[i]).bit_count()
+                if bound < best_cost:
+                    child = tuple(b | cv if j == i else b for j, b in enumerate(blocks))
+                    queue.append((child, cost + extra, used + (i == used), bound, v - queue_at))
+                    if len(queue) == width:
+                        best_cost, best_blocks, nodes = _flush(
+                            queue, tail, n, k, width, best_cost, best_blocks, nodes, limit
+                        )
+                        queue = []
+            held[v] = -1
+            v -= 1
+            continue
         i += 1
         while i < top:
             extra = (av & blocks[i]).bit_count() * s
@@ -277,7 +330,147 @@ def _branch_and_bound(
         used_at[v] = used + (i == used)
         cost_at[v] = cost + extra
         rest_at[v] = base - cost + rise
+    if queue_at >= 0 and queue:
+        best_cost, best_blocks, nodes = _flush(
+            queue, tail, n, k, width, best_cost, best_blocks, nodes, limit
+        )
     return best_cost, best_blocks, nodes
+
+
+def _tail(spec: Sequence[tuple], n: int) -> tuple:
+    """What _flush reads of the classes it places: their masks, their
+    sizes, their representatives' neighbourhoods as bit rows, and
+    touch[d, u] = |N(rep_u) & C_d|, all of C_d or none of it, as twins
+    share their neighbours."""
+    size = np.array([s for _, s, _, _ in spec], dtype=np.int32)
+    touch = np.array([[s * (a >> r & 1) for _, _, _, a in spec] for _, s, r, _ in spec],
+                     dtype=np.int32)
+    return [c for c, _, _, _ in spec], size, bit_rows([a for _, _, _, a in spec], n), touch
+
+
+def _flush(
+    queue: list, tail: tuple, n: int, k: int, width: int,
+    best_cost: int, best_blocks: tuple[int, ...], nodes: int, limit: int,
+) -> tuple[int, tuple[int, ...], int]:
+    """Search the subtrees below the queued nodes in the order of the
+    scalar search, and return its (best_cost, best_blocks, nodes).
+
+    A queued node is (blocks, cost, used, bound, depth): depth counts the
+    tail classes already placed in its blocks.  The queue holds runs of
+    equal depth, deepest first, and each run becomes that depth's tail.
+    A frontier of at most width nodes is kept as arrays: load[x, j, u] =
+    |N(rep_u) & B_j| over the classes u still to place (read off the bit
+    rows of a queued node's blocks, then updated per placement), cost,
+    used, the queued node it descends from and the blocks chosen since.
+    Each step scores every canonical child (block i <= used) of the
+    frontier at once: placing class d in block i adds |C_d| *
+    load[x, i, d], and each later class u then costs at least |C_u| *
+    min(load[x, i, u] + touch[d, u], min over j != i of load[x, j, u]),
+    which is the class's least load lo, raised when i is its one cheapest
+    block to at most the second smallest.  For classes of one vertex this
+    is the scalar search's bound; for larger classes it is never below it.
+    The children, in np.nonzero's row-major order (the scalar search's
+    order), become that depth's tail with their bounds; then the deepest
+    tail still holding nodes below best_cost gives its first width of them
+    as the next frontier, counted as entered.  A tail is tested against
+    best_cost each time it is drawn from, as best_cost may have fallen
+    since.  So at most one tail per level is held whatever the node count,
+    and at width 1, on classes of one vertex, the nodes entered are the
+    scalar search's.  At the last class the children are leaves: each that
+    beats best_cost and every leaf before it is counted, and the first leaf
+    of least cost is kept.  Loads and costs are int32: both stay below 2m.
+    """
+    masks, size, rows, touch = tail
+    last = len(masks) - 1
+    slots = np.arange(k)
+    # per level: (depth, the parents' frontier, parent, choice, bound) of the
+    # nodes not entered yet, deepest on top; a run of queued nodes has no
+    # frontier, its parent indexing the queue and its choice unused
+    tails: list = []
+    start = 0
+    for d, run in groupby(q[4] for q in queue):
+        stop = start + sum(1 for _ in run)
+        mine = np.arange(start, stop)
+        tails.append((d, None, mine, mine, np.array([q[3] for q in queue[start:stop]])))
+        start = stop
+    tails.reverse()
+    while True:
+        while tails:
+            d, front, parent, choice, bound = tails[-1]
+            below = bound < best_cost
+            parent, choice, bound = parent[below], choice[below], bound[below]
+            if len(parent) > width:
+                tails[-1] = (d, front, parent[width:], choice[width:], bound[width:])
+                parent, choice = parent[:width], choice[:width]
+            else:
+                tails.pop()
+            if len(parent):
+                break
+        else:
+            return best_cost, best_blocks, nodes
+        nodes += len(parent)
+        if nodes > limit:
+            raise _over(limit, n, k)
+        if front is not None:
+            load, cost, used, root, path = front
+            child = load[parent, :, 1:]
+            child[np.arange(len(parent)), choice] += touch[d - 1, d:]
+            path = path[parent]
+            path[:, d - 1] = choice
+            front = (
+                child,
+                cost[parent] + size[d - 1] * load[parent, choice, 0],
+                used[parent] + (choice == used[parent]),
+                root[parent],
+                path,
+            )
+        else:
+            picked = [queue[j] for j in parent.tolist()]
+            held = bit_rows([b for q in picked for b in q[0]], n).reshape(len(picked), k, -1)
+            load = np.empty((len(picked), k, last + 1 - d), dtype=np.int32)
+            for u, row in enumerate(rows[d:]):
+                load[:, :, u] = np.bitwise_count(held & row).sum(axis=2)
+            front = (
+                load,
+                np.array([q[1] for q in picked], dtype=np.int32),
+                np.array([q[2] for q in picked], dtype=np.int32),
+                parent,
+                np.zeros((len(picked), last), dtype=np.int32),  # choices from depth d on
+            )
+        load, cost, used, root, path = front
+        if d == last:
+            parent, choice = np.nonzero(slots <= used[:, None])
+            leaf = cost[parent] + size[d] * load[parent, choice, 0]
+            prior = np.minimum.accumulate(np.concatenate(([best_cost], leaf[:-1])))
+            beat = int(np.count_nonzero(leaf < prior))
+            if beat:
+                nodes += beat
+                if nodes > limit:
+                    raise _over(limit, n, k)
+                j = int(np.argmin(leaf))
+                best_cost = int(leaf[j])
+                blocks, _, _, _, t = queue[root[parent[j]]]
+                blocks = list(blocks)
+                for i in path[parent[j], t:].tolist() + [int(choice[j])]:
+                    blocks[i] |= masks[t]
+                    t += 1
+                best_blocks = tuple(blocks)
+        else:
+            rest = load[:, :, 1:]
+            touched = touch[d, d + 1 :]
+            lo = rest[:, 0]
+            second = lo + touched  # min(this, the second smallest load) is all rise needs
+            for j in range(1, k):
+                second = np.minimum(second, np.maximum(lo, rest[:, j]))
+                lo = np.minimum(lo, rest[:, j])
+            rise = size[d + 1 :] * (np.minimum(lo + touched, second) - lo)
+            bound = (
+                (cost + lo @ size[d + 1 :])[:, None]
+                + size[d] * load[:, :, 0]
+                + np.einsum("xju,xu->xj", rest == lo[:, None, :], rise)
+            )
+            parent, choice = np.nonzero(slots <= used[:, None])
+            tails.append((d + 1, front, parent, choice, bound[parent, choice]))
 
 
 def twin_classes(G: Graph) -> list[int]:
@@ -397,7 +590,9 @@ def exact_h(G: Graph, k: int, budget: Optional[int] = None) -> int:
     optimal partition keeps every class in one block, so the search assigns
     classes whole, largest degree first, and the search on a blow-up G[t]
     has as many classes to place as the one on G.  The searches share one
-    node budget; the closed forms spend none.
+    node budget; the closed forms spend none.  Each search starts from the
+    greedy completion polished by single-vertex moves and prunes at its
+    count, since only the value is read.
     """
     if k < 1:
         raise ValueError("k must be positive")

@@ -8,6 +8,8 @@ builders shared by all of them:
 * greedy_complete   -- extend seed blocks over the remaining vertices; the
                        completion adds at most (m - e(G[union of seeds])) / k
                        internal edges
+* polish            -- single-vertex moves to a local optimum; the internal
+                       count never rises
 * lift_pieces       -- each piece's vertices with their labels from the
                        piece's own partition, as aligned arrays
 * compose_partition -- seed blocks from the lifted labels, offset past the
@@ -184,6 +186,46 @@ def greedy_complete(G: Graph, seeds: Sequence[int], k: int) -> tuple[VertexParti
         taken |= 1 << v
         added += best_cost
     return VertexPartition(G.n, tuple(blocks)), added
+
+
+def polish(G: Graph, labels: Sequence[int], k: int) -> tuple[VertexPartition, int]:
+    """Single-vertex moves from the k-block partition that puts vertex v in
+    block labels[v], to a local optimum; returns the moved partition and
+    its internal-edge count.
+
+    Passes over the vertices in index order move each to the block holding
+    the fewest of its neighbours (the lowest such index on ties) when that
+    is strictly fewer than in its own block, until a pass moves nothing.
+    Each move lowers the count by the difference, so it never rises and the
+    loop ends; at the end every vertex has at most deg(v)/k neighbours in
+    its own block.
+    """
+    n = G.n
+    lab = np.array(labels, dtype=np.int64)
+    blocks = label_masks(k, n, lab, np.arange(n))
+    ends = lab[G.ends]
+    internal = int(np.count_nonzero(ends[:, 0] == ends[:, 1]))
+    labels = list(labels)
+    improved = True
+    while improved:
+        improved = False
+        for v in range(n):
+            here = labels[v]
+            cost_here = (G.adj[v] & blocks[here]).bit_count()
+            target, cost = here, cost_here
+            for b in range(k):
+                if b == here:
+                    continue
+                c = (G.adj[v] & blocks[b]).bit_count()
+                if c < cost:
+                    target, cost = b, c
+            if target != here:
+                blocks[here] &= ~(1 << v)
+                blocks[target] |= 1 << v
+                labels[v] = target
+                internal += cost - cost_here
+                improved = True
+    return VertexPartition(n, tuple(blocks)), internal
 
 
 def lift_pieces(

@@ -9,7 +9,7 @@ import pytest
 
 from kdelete import cli
 from kdelete.cli import build_parser, main
-from kdelete.constructions import cycle, petersen
+from kdelete.constructions import cycle, petersen, random_graph
 from kdelete.corpus import windmill
 from kdelete.errors import EmptyWorkingSet, InvariantViolation
 from kdelete.graphs import MAX_VERTICES, format_edge_list
@@ -568,3 +568,13 @@ def test_parser_is_not_built_at_import():
         capture_output=True, text=True,
     )
     assert proc.stdout == "0\n"
+
+
+def test_oracle_over_the_budget_exits_3(capsys, monkeypatch):
+    monkeypatch.setenv("KDELETE_BUDGET", "20000")
+    G = random_graph(34, 0.5, seed=1)
+    code, out, err = run_cli(["oracle", "h", "--k", "3"], stdin_text=format_edge_list(G),
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 3
+    assert out == ""
+    assert "refused: exact search exceeded 20000 nodes (n=34, k=3)\n" in err

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdelete import constructions as cons
+from kdelete import oracle
 from kdelete.constructions import random_graph
 from kdelete.corpus import book, kneser, mycielski, random_n8_suite, windmill
 from kdelete.errors import BudgetExceeded, CapabilityError
@@ -245,10 +247,10 @@ def test_search_matches_reference_on_random_graphs(n, p, seed, k):
 CERTIFY = [
     ("c5x6", cons.blow_up(cons.cycle(5), 6), {2: (6044, 357361)}),
     ("c7x4", cons.blow_up(cons.cycle(7), 4), {2: (919, 8757)}),
-    ("mycielski-5", mycielski(5), {2: (1035, 28352), 4: (33797, 220476)}),
-    ("kneser-7-2", kneser(7, 2), {2: (2827, 148501), 4: (3368, 82068)}),
+    ("mycielski-5", mycielski(5), {2: (1086, 28352), 4: (33797, 220476)}),
+    ("kneser-7-2", kneser(7, 2), {2: (2809, 148501), 4: (3368, 82068)}),
     ("paley-13", _paley(13), {2: (255, 1282), 3: (588, 2381)}),
-    ("paley-17", _paley(17), {2: (2706, 17351), 3: (6208, 69940)}),
+    ("paley-17", _paley(17), {2: (2824, 17351), 3: (6208, 69940)}),
 ]
 
 
@@ -447,3 +449,90 @@ def test_exact_h_closed_forms():
                 for a in range(k + 1) for b in range(a + 1, k + 1)
             ]
             assert exact_h(build_graph(k * count + 1, cliques), k) == count
+
+
+# The scalar search hands the nodes with at most oracle._R classes left to
+# oracle._flush, in chunks of oracle._BLOCK // (k * _R); _ALONE = 0 makes it
+# do so from the first node.  _R = 0 and _R = inf keep every search scalar.
+_SPLITS = [0, 1, 5, float("inf")]
+_CHUNKS = [1, 7, oracle._BLOCK]
+
+
+def _split_ids(p):
+    return f"R{p[0]}-block{p[1]}"
+
+
+def _set_split(monkeypatch, r, block):
+    monkeypatch.setattr(oracle, "_R", r)
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    monkeypatch.setattr(oracle, "_ALONE", 0)
+
+
+@pytest.fixture(params=[(r, b) for r in _SPLITS for b in _CHUNKS], ids=_split_ids)
+def split(request, monkeypatch):
+    _set_split(monkeypatch, *request.param)
+
+
+@lru_cache(maxsize=None)
+def _plain_h(G, k):
+    return exact_h_plain(G, k)
+
+
+@lru_cache(maxsize=None)
+def _reference_search(G, k):
+    return _recursive_min_internal_partition(G, k)[:2]
+
+
+def _small_and_n8():
+    return [G for n in range(1, 6) for G in _all_graphs(n)] + list(_N8)
+
+
+def test_split_search_values_match_plain_enumeration(split):
+    for G in _small_and_n8():
+        for k in (1, 2, 3):
+            assert exact_h(G, k) == _plain_h(G, k), (G.edges, k)
+
+
+def test_split_search_blocks_match_the_recursive_reference(split):
+    for G in _small_and_n8():
+        for k in (1, 2, 3):
+            assert _branch_and_bound(G, k, 10**7)[:2] == _reference_search(G, k), (G.edges, k)
+
+
+# width 1 is held node for node to the scalar search below
+@pytest.mark.parametrize("r,block", [(r, b) for r in _SPLITS for b in _CHUNKS[1:]],
+                         ids=[_split_ids((r, b)) for r in _SPLITS for b in _CHUNKS[1:]])
+def test_split_search_blocks_match_the_reference_on_certify_instances(r, block, monkeypatch):
+    _set_split(monkeypatch, r, block)
+    for name, G, pins in CERTIFY:
+        for k in pins:
+            assert _branch_and_bound(G, k, 10**7)[:2] == _reference_search(G, k), (name, k)
+
+
+@pytest.mark.parametrize("r", _SPLITS[1:])
+def test_split_search_at_width_one_enters_the_scalar_search_nodes(r, monkeypatch):
+    monkeypatch.setattr(oracle, "_BLOCK", 1)
+    monkeypatch.setattr(oracle, "_ALONE", 0)
+    cases = [(G, k) for G in _small_and_n8() for k in (1, 2, 3)]
+    cases += [(G, k) for _, G, pins in CERTIFY for k, (nodes, _) in pins.items() if nodes < 10**4]
+    for G, k in cases:
+        monkeypatch.setattr(oracle, "_R", 0)
+        scalar = _branch_and_bound(G, k, 10**7)
+        monkeypatch.setattr(oracle, "_R", r)
+        assert _branch_and_bound(G, k, 10**7) == scalar, (G.edges, k)
+
+
+_STUCK = random_graph(34, 0.5, seed=1)  # exact_h at k = 3 needs far more than 20,000 nodes
+
+
+def test_kernel_search_over_budget_stays_in_a_few_mib():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=r"exceeded 20000 nodes \(n=34, k=3\)"):
+            exact_h(_STUCK, 3, budget=2 * 10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 1.9 MiB: a frontier of at most _BLOCK // (k * _R) nodes and one
+    # tail per level, however many nodes the search enters
+    assert peak < 4 * 2**20

@@ -16,6 +16,7 @@ from kdelete.partition import (
     balanced_partition,
     compose_partition,
     greedy_complete,
+    polish,
     trivial_distinct,
 )
 
@@ -106,6 +107,20 @@ def test_labels_scratch_stays_small_with_as_many_blocks_as_vertices(make, expect
     # about 1.8 MiB when the blocks are converted a chunk at a time; all
     # 10,000 bit rows at once take 25 MiB
     assert peak < 4 * 2**20
+
+
+@given(random_instances, st.integers(1, 5), st.randoms(use_true_random=False))
+def test_polish_lowers_the_count_to_a_local_optimum(G, k, rnd):
+    labels = [rnd.randrange(k) for _ in range(G.n)]
+    start = VertexPartition(G.n, tuple(mask_of(v for v, i in enumerate(labels) if i == j)
+                                       for j in range(k)))
+    part, internal = polish(G, labels, k)
+    assert part.k == k
+    assert internal == part.internal_count(G) <= start.internal_count(G)
+    for v in range(G.n):  # no single move lowers the count
+        here = next(i for i, b in enumerate(part.blocks) if b >> v & 1)
+        inside = (G.adj[v] & part.blocks[here]).bit_count()
+        assert all((G.adj[v] & b).bit_count() >= inside for b in part.blocks)
 
 
 @given(random_instances, st.integers(1, 6))
